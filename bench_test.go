@@ -385,8 +385,9 @@ func BenchmarkSimEventDispatch(b *testing.B) {
 
 // BenchmarkTopologyPaperScale generates the paper's full 10,000-node IP
 // network and builds a 1,000-peer overlay on it — the construction cost every
-// -paper experiment pays up front. The edge-set index and the batched
-// peer-pair Dijkstra keep this in single-digit seconds.
+// -paper experiment pays up front. The CSR graph and the peer-pair
+// Dijkstra fanned out over GOMAXPROCS workers keep this in single-digit
+// seconds, so the -cpu setting moves this benchmark.
 func BenchmarkTopologyPaperScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rng := newSeededRng(79)

@@ -613,11 +613,7 @@ type overlayOracle struct {
 }
 
 func (o *overlayOracle) Path(a, b p2p.NodeID) (float64, float64, bool) {
-	p, ok := o.ov.Route(int(a), int(b))
-	if !ok {
-		return 0, 0, false
-	}
-	return p.Latency, o.ov.AvailBandwidth(p), true
+	return o.ov.RouteQoS(int(a), int(b))
 }
 
 func (o *overlayOracle) AllocBandwidth(a, b p2p.NodeID, kbps float64) bool {
@@ -648,11 +644,7 @@ func (w *world) Avail(p p2p.NodeID) qos.Resources {
 }
 
 func (w *world) Path(a, b p2p.NodeID) (float64, float64, bool) {
-	pth, ok := w.c.Overlay.Route(int(a), int(b))
-	if !ok {
-		return 0, 0, false
-	}
-	return pth.Latency, w.c.Overlay.AvailBandwidth(pth), true
+	return w.c.Overlay.RouteQoS(int(a), int(b))
 }
 
 func (w *world) Commit(p p2p.NodeID, res qos.Resources) bool {

@@ -12,6 +12,8 @@ package topology
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -338,6 +340,250 @@ func TestDiffCompactMesh(t *testing.T) {
 		if fl, cl := full.Latency(a, b), comp.Latency(a, b); full.hasLink(a, b) &&
 			math.Abs(fl-cl) > 1e-12*fl {
 			t.Fatalf("linked latency %d-%d: full %v, compact %v", a, b, fl, cl)
+		}
+	}
+}
+
+// legacyBuildOverlay is BuildOverlay before the parallel pass and nearestK:
+// a sequential per-source Dijkstra fills the latency matrix and every mesh
+// peer sorts all n-1 others by latency. It is the reference the current
+// wiring must reproduce link for link, capacity draw for capacity draw.
+func legacyBuildOverlay(g *Graph, cfg OverlayConfig, rng *rand.Rand) *Overlay {
+	if cfg.Degree < 1 {
+		cfg.Degree = 4
+	}
+	if cfg.CapMax <= 0 {
+		cfg.CapMin, cfg.CapMax = 1000, 10000
+	}
+	n := cfg.NumPeers
+	o := &Overlay{
+		peerIP:  rng.Perm(g.N())[:n],
+		adj:     make([][]int, n),
+		linkSet: make(map[uint64]struct{}),
+		capMin:  cfg.CapMin,
+		capMax:  cfg.CapMax,
+	}
+	o.lat = make([][]float64, n)
+	for i, src := range o.peerIP {
+		dist := g.Dijkstra(src)
+		o.lat[i] = make([]float64, n)
+		for j, dst := range o.peerIP {
+			o.lat[i][j] = dist[dst]
+		}
+	}
+	addLink := func(u, v int) {
+		if u == v || o.hasLink(u, v) {
+			return
+		}
+		o.linkSet[pairKey(u, v)] = struct{}{}
+		idx := len(o.links)
+		c := cfg.CapMin + rng.Float64()*(cfg.CapMax-cfg.CapMin)
+		o.links = append(o.links, overlayLink{u: u, v: v, latency: o.lat[u][v], capacity: c, avail: c})
+		o.adj[u] = append(o.adj[u], idx)
+		o.adj[v] = append(o.adj[v], idx)
+	}
+	switch cfg.Kind {
+	case Mesh:
+		for u := 0; u < n; u++ {
+			order := make([]int, 0, n-1)
+			for v := 0; v < n; v++ {
+				if v != u {
+					order = append(order, v)
+				}
+			}
+			sort.Slice(order, func(i, j int) bool { return o.lat[u][order[i]] < o.lat[u][order[j]] })
+			for i := 0; i < cfg.Degree && i < len(order); i++ {
+				addLink(u, order[i])
+			}
+		}
+	case PowerLawOverlay:
+		m := cfg.Degree
+		if m >= n {
+			m = n - 1
+		}
+		for u := 0; u <= m && u < n; u++ {
+			for v := u + 1; v <= m && v < n; v++ {
+				addLink(u, v)
+			}
+		}
+		var targets []int
+		for u := 0; u <= m && u < n; u++ {
+			for range o.adj[u] {
+				targets = append(targets, u)
+			}
+		}
+		for u := m + 1; u < n; u++ {
+			for _, v := range pickPreferential(targets, m, u, rng, nil) {
+				addLink(u, v)
+				targets = append(targets, u, v)
+			}
+		}
+	case RandomOverlay:
+		perm := rng.Perm(n)
+		for i := 1; i < n; i++ {
+			addLink(perm[i-1], perm[i])
+		}
+		extra := n*cfg.Degree/2 - (n - 1)
+		for i := 0; i < extra; i++ {
+			addLink(rng.Intn(n), rng.Intn(n))
+		}
+	}
+	return o
+}
+
+// legacyAddPeer is AddPeer's wiring before nearestK: a full sort of the
+// existing peers by latency from the newcomer.
+func legacyAddPeer(o *Overlay, g *Graph, ip, degree int, rng *rand.Rand) {
+	dist := g.Dijkstra(ip)
+	n := len(o.peerIP)
+	row := make([]float64, n+1)
+	for q, ipq := range o.peerIP {
+		row[q] = dist[ipq]
+		o.lat[q] = append(o.lat[q], dist[ipq])
+	}
+	o.peerIP = append(o.peerIP, ip)
+	o.lat = append(o.lat, row)
+	o.adj = append(o.adj, nil)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return row[order[a]] < row[order[b]] })
+	for i := 0; i < degree && i < len(order); i++ {
+		v := order[i]
+		if o.hasLink(n, v) {
+			continue
+		}
+		o.linkSet[pairKey(n, v)] = struct{}{}
+		idx := len(o.links)
+		c := o.capMin + rng.Float64()*(o.capMax-o.capMin)
+		o.links = append(o.links, overlayLink{u: n, v: v, latency: row[v], capacity: c, avail: c})
+		o.adj[n] = append(o.adj[n], idx)
+		o.adj[v] = append(o.adj[v], idx)
+	}
+}
+
+// sameWiring compares everything the builders decide: hosts, the latency
+// matrix bit for bit, links in order with their capacities, and per-peer
+// link lists.
+func sameWiring(t *testing.T, label string, got, want *Overlay) {
+	t.Helper()
+	if !reflect.DeepEqual(got.peerIP, want.peerIP) {
+		t.Fatalf("%s: peer hosts differ", label)
+	}
+	if len(got.lat) != len(want.lat) {
+		t.Fatalf("%s: latency matrix has %d rows, want %d", label, len(got.lat), len(want.lat))
+	}
+	for i := range want.lat {
+		if len(got.lat[i]) != len(want.lat[i]) {
+			t.Fatalf("%s: latency row %d has %d entries, want %d", label, i, len(got.lat[i]), len(want.lat[i]))
+		}
+		for j := range want.lat[i] {
+			if math.Float64bits(got.lat[i][j]) != math.Float64bits(want.lat[i][j]) {
+				t.Fatalf("%s: lat[%d][%d]=%v, want %v", label, i, j, got.lat[i][j], want.lat[i][j])
+			}
+		}
+	}
+	if !reflect.DeepEqual(got.links, want.links) {
+		t.Fatalf("%s: links differ:\n got  %v\n want %v", label, got.links, want.links)
+	}
+	if !reflect.DeepEqual(got.adj, want.adj) {
+		t.Fatalf("%s: per-peer link lists differ", label)
+	}
+}
+
+// TestDiffOverlayWiring: for every overlay kind, BuildOverlay (parallel
+// PairDistances, nearestK mesh wiring) must produce exactly the overlay the
+// sequential sort-based builder produced, and leave the RNG in the same
+// state; AddPeer likewise. Equal-latency IP links make distance ties common,
+// which drives nearestK's fall-back to the full sort.
+func TestDiffOverlayWiring(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		minLat, maxLat float64
+		peers, degree  int
+	}{
+		{"distinct", 2, 30, 120, 4},
+		{"ties", 5, 5, 120, 4},
+		{"dense", 2, 30, 12, 15},
+		{"dense-ties", 1, 1, 12, 11},
+	} {
+		for _, kind := range []OverlayKind{Mesh, PowerLawOverlay, RandomOverlay} {
+			label := tc.name + "/" + kind.String()
+			g := GeneratePowerLaw(500, 2, tc.minLat, tc.maxLat, rand.New(rand.NewSource(5)))
+			cfg := OverlayConfig{NumPeers: tc.peers, Kind: kind, Degree: tc.degree}
+			rngGot, rngWant := rand.New(rand.NewSource(21)), rand.New(rand.NewSource(21))
+			got := BuildOverlay(g, cfg, rngGot)
+			want := legacyBuildOverlay(g, cfg, rngWant)
+			sameWiring(t, label, got, want)
+
+			// Two arrivals on hosts no peer uses yet.
+			used := make(map[int]bool)
+			for _, ip := range want.peerIP {
+				used[ip] = true
+			}
+			for ip, added := 0, 0; added < 2; ip++ {
+				if used[ip] {
+					continue
+				}
+				got.AddPeer(g, ip, tc.degree, rngGot)
+				legacyAddPeer(want, g, ip, tc.degree, rngWant)
+				added++
+			}
+			sameWiring(t, label+"+AddPeer", got, want)
+			if rngGot.Int63() != rngWant.Int63() {
+				t.Fatalf("%s: RNG streams diverged", label)
+			}
+		}
+	}
+}
+
+// TestNearestK checks nearestK against the full-sort oracle on random rows:
+// continuous values, values from a tiny set (ties everywhere), and rows
+// with a tie forced exactly at the k-th/(k+1)-th boundary, for every k
+// from 1 past the row length and with self at either end or inside.
+func TestNearestK(t *testing.T) {
+	oracle := func(row []float64, self, k int) []int {
+		order := make([]int, 0, len(row))
+		for v := range row {
+			if v != self {
+				order = append(order, v)
+			}
+		}
+		sort.Slice(order, func(i, j int) bool { return row[order[i]] < row[order[j]] })
+		return order[:min(k, len(order))]
+	}
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(40)
+		row := make([]float64, n)
+		for i := range row {
+			switch trial % 3 {
+			case 0:
+				row[i] = rng.Float64() * 100
+			case 1:
+				row[i] = float64(rng.Intn(4))
+			default:
+				row[i] = rng.Float64() * 100
+				if rng.Intn(8) == 0 {
+					row[i] = math.Inf(1)
+				}
+			}
+		}
+		self := []int{0, n - 1, rng.Intn(n)}[trial%3]
+		for k := 1; k <= n+1; k++ {
+			r := row
+			if trial%3 == 2 && k < n-1 {
+				// Copy the k-th smallest other entry onto another peer past
+				// it, tying the last kept and first dropped positions.
+				r = append([]float64(nil), row...)
+				o := oracle(r, self, n)
+				r[o[k]] = r[o[k-1]]
+			}
+			got, want := nearestK(r, self, k), oracle(r, self, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d n=%d self=%d k=%d: nearestK %v, sort %v (row %v)", trial, n, self, k, got, want, r)
+			}
 		}
 	}
 }

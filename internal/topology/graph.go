@@ -17,7 +17,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Edge is one directed half of an undirected IP-layer link.
@@ -175,7 +178,7 @@ func (g *Graph) Dijkstra(src int) []float64 {
 // holds stale duplicates: exactly one pop per reachable node. The scan is a
 // straight walk of the CSR arrays — no per-node allocation, no pointer
 // chasing through per-node slices — which is what makes the overlay's
-// ten-thousand-source batch fast.
+// thousand-source PairDistances pass fast.
 func (g *Graph) dijkstraInto(src int, dist []float64, h *nodeHeap) {
 	g.Freeze()
 	for i := range dist {
@@ -198,23 +201,43 @@ func (g *Graph) dijkstraInto(src int, dist []float64, h *nodeHeap) {
 }
 
 // PairDistances computes the shortest-path latency between every pair of the
-// given nodes in one batched pass: one Dijkstra per source, with the dist
-// vector and heap storage reused across sources. Row i holds the distances
-// from nodes[i] to every nodes[j]. This is the overlay builder's
-// peer-latency pass; at the paper's scale (1,000 peers over 10,000 IP nodes)
-// buffer reuse keeps the pass allocation-flat.
+// given nodes: one Dijkstra per source, fanned out over runtime.GOMAXPROCS(0)
+// workers (capped at the source count). Each worker owns its dist vector and
+// heap, claims source indices from a shared counter, and writes row i into
+// its own slot of one pre-sized n×n slab, so row i holds the distances from
+// nodes[i] to every nodes[j] and is bit-identical at any worker count and
+// any schedule — every row comes from the same sequential dijkstraInto.
+// This is the overlay builder's peer-latency pass (1,000 sources over
+// 10,000 IP nodes at the paper's scale).
 func (g *Graph) PairDistances(nodes []int) [][]float64 {
-	out := make([][]float64, len(nodes))
-	dist := make([]float64, g.n)
-	var h nodeHeap
-	for i, src := range nodes {
-		g.dijkstraInto(src, dist, &h)
-		row := make([]float64, len(nodes))
-		for j, dst := range nodes {
-			row[j] = dist[dst]
-		}
-		out[i] = row
+	g.Freeze() // before the fan-out: workers only read the CSR arrays
+	k := len(nodes)
+	out := make([][]float64, k)
+	slab := make([]float64, k*k)
+	for i := range out {
+		// Full-slice cap so a later append to one row (AddPeer) reallocates
+		// that row instead of overwriting its neighbor.
+		out[i] = slab[i*k : (i+1)*k : (i+1)*k]
 	}
+	workers := min(runtime.GOMAXPROCS(0), k)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			dist := make([]float64, g.n)
+			var h nodeHeap
+			for i := int(next.Add(1) - 1); i < k; i = int(next.Add(1) - 1) {
+				g.dijkstraInto(nodes[i], dist, &h)
+				row := out[i]
+				for j, dst := range nodes {
+					row[j] = dist[dst]
+				}
+			}
+		}()
+	}
+	wg.Wait()
 	return out
 }
 

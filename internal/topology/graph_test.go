@@ -3,6 +3,7 @@ package topology
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -262,18 +263,57 @@ func TestEdgeIndexConsistency(t *testing.T) {
 	}
 }
 
-// TestPairDistancesMatchesDijkstra checks the batched buffer-reusing pass
-// returns exactly what per-source Dijkstra returns.
+// TestPairDistancesMatchesDijkstra is the differential check on the
+// parallel pass: every row must equal per-source Dijkstra bit for bit, at
+// one worker and at more workers than sources, on graphs with unreachable
+// nodes (+Inf), duplicate sources, and zero or one node.
 func TestPairDistancesMatchesDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	g := GeneratePowerLaw(300, 2, 1, 25, rng)
-	nodes := rng.Perm(g.N())[:50]
-	got := g.PairDistances(nodes)
-	for i, src := range nodes {
-		want := g.Dijkstra(src)
-		for j, dst := range nodes {
-			if got[i][j] != want[dst] {
-				t.Fatalf("PairDistances[%d][%d]=%v, Dijkstra=%v", i, j, got[i][j], want[dst])
+	powerLaw := GeneratePowerLaw(300, 2, 1, 25, rng)
+	split := NewGraph(40) // nodes 0..19 and 20..29 form two components; 30..39 are isolated
+	for u := 1; u < 30; u++ {
+		if u != 20 {
+			split.AddEdge(u-1, u, 1+rng.Float64()*9)
+		}
+	}
+	for i := 0; i < 30; i++ {
+		if u, v := rng.Intn(20), rng.Intn(20); u != v {
+			split.AddEdge(u, v, 1+rng.Float64()*9)
+		}
+	}
+	cases := []struct {
+		name  string
+		g     *Graph
+		nodes []int
+	}{
+		{"power-law", powerLaw, rng.Perm(powerLaw.N())[:50]},
+		{"one-source", powerLaw, []int{17}},
+		{"two-sources", powerLaw, []int{3, 250}},
+		{"duplicates", powerLaw, []int{5, 9, 5, 5, 120, 9}},
+		{"disconnected", split, rng.Perm(split.N())},
+		{"no-sources", powerLaw, nil},
+		{"empty-graph", NewGraph(0), nil},
+		{"single-node", NewGraph(1), []int{0, 0}},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range cases {
+		for _, procs := range []int{1, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			got := tc.g.PairDistances(tc.nodes)
+			if len(got) != len(tc.nodes) {
+				t.Fatalf("%s at %d procs: %d rows for %d sources", tc.name, procs, len(got), len(tc.nodes))
+			}
+			for i, src := range tc.nodes {
+				want := tc.g.Dijkstra(src)
+				if len(got[i]) != len(tc.nodes) {
+					t.Fatalf("%s at %d procs: row %d has %d entries", tc.name, procs, i, len(got[i]))
+				}
+				for j, dst := range tc.nodes {
+					if math.Float64bits(got[i][j]) != math.Float64bits(want[dst]) {
+						t.Fatalf("%s at %d procs: PairDistances[%d][%d]=%v, Dijkstra=%v",
+							tc.name, procs, i, j, got[i][j], want[dst])
+					}
+				}
 			}
 		}
 	}

@@ -88,10 +88,17 @@ type Overlay struct {
 	llat  []float64
 }
 
+// routeTable is one source's shortest-path tree: dist[p] is the latency from
+// the source to peer p, prevPeer[p] and prevLink[p] the last hop into p (-1
+// at the source and at unreached peers).
 type routeTable struct {
 	dist     []float64
-	prevPeer []int
-	prevLink []int
+	prevPeer []int32
+	prevLink []int32
+}
+
+func newRouteTable(n int) routeTable {
+	return routeTable{dist: make([]float64, n), prevPeer: make([]int32, n), prevLink: make([]int32, n)}
 }
 
 // routeSlot is one LRU entry: a full per-source routing table threaded on the
@@ -104,21 +111,22 @@ type routeSlot struct {
 
 // truncRouteState is the reusable scratch for the truncated-Dijkstra fast
 // path: epoch-stamped arrays make per-call initialization O(touched) instead
-// of O(peers), and the priority queue's backing array is recycled.
+// of O(peers), and the priority queue's backing array is recycled. Only the
+// entries stamped with the current epoch are meaningful.
 type truncRouteState struct {
-	dist     []float64
-	prevPeer []int32
-	prevLink []int32
-	stamp    []uint32
-	epoch    uint32
-	pq       distPQ
+	routeTable
+	stamp []uint32
+	epoch uint32
+	pq    distPQ
 }
 
 // DefaultRouteCacheSize is the route-cache bound applied when
-// OverlayConfig.RouteCacheSize is zero. It exceeds the source count of every
-// workload the figure pipeline runs, so bounding the cache changes neither
-// behavior (routes are cache-independent by construction) nor performance on
-// existing experiments; only deliberately huge sweeps engage eviction.
+// OverlayConfig.RouteCacheSize is zero. Bounding the cache never changes
+// behavior (routes are cache-independent by construction), only memory and
+// recomputation. Overlays of up to 512 peers never evict; larger ones — the
+// paper-scale 1,000-peer world behind -paper and the compose1k benchmark
+// workload — fill the cache and then answer near destinations with the
+// truncated search and far ones by recycling the least recently used table.
 const DefaultRouteCacheSize = 512
 
 // OverlayConfig controls BuildOverlay.
@@ -177,8 +185,6 @@ func BuildOverlay(g *Graph, cfg OverlayConfig, rng *rand.Rand) *Overlay {
 		o.buildCompactMesh(g, cfg, rng)
 		return o
 	}
-	// Pairwise peer latency over IP shortest paths, computed in one batched
-	// pass that reuses the Dijkstra buffers across sources.
 	o.lat = g.PairDistances(o.peerIP)
 
 	cap := func() float64 { return cfg.CapMin + rng.Float64()*(cfg.CapMax-cfg.CapMin) }
@@ -197,15 +203,8 @@ func BuildOverlay(g *Graph, cfg OverlayConfig, rng *rand.Rand) *Overlay {
 	switch cfg.Kind {
 	case Mesh:
 		for u := 0; u < n; u++ {
-			order := make([]int, 0, n-1)
-			for v := 0; v < n; v++ {
-				if v != u {
-					order = append(order, v)
-				}
-			}
-			sort.Slice(order, func(i, j int) bool { return o.lat[u][order[i]] < o.lat[u][order[j]] })
-			for i := 0; i < cfg.Degree && i < len(order); i++ {
-				addLink(u, order[i])
+			for _, v := range nearestK(o.lat[u], u, cfg.Degree) {
+				addLink(u, v)
 			}
 		}
 	case PowerLawOverlay:
@@ -241,6 +240,45 @@ func BuildOverlay(g *Graph, cfg OverlayConfig, rng *rand.Rand) *Overlay {
 		}
 	}
 	return o
+}
+
+// nearestK returns the indices of the k smallest entries of row, self
+// excluded, in ascending order: exactly the first k entries that a
+// sort.Slice by row value of the indices other than self (in index order)
+// leaves. One pass keeps the k+1 smallest by insertion. When those k+1
+// values are pairwise distinct, the kept k are strictly below every other
+// entry and strictly ordered, so any correct sort puts them first in this
+// order. A tie among them would let sort.Slice's unstable order decide which
+// peers are kept, and in what order; then the full sort runs instead, so the
+// result is the one the sort gives. Rows hold distances, never NaN.
+func nearestK(row []float64, self, k int) []int {
+	top := make([]int, 0, min(k+1, len(row)))
+	for v, d := range row {
+		if v == self || (len(top) == k+1 && d >= row[top[k]]) {
+			continue
+		}
+		if len(top) < k+1 {
+			top = append(top, v)
+		}
+		i := len(top) - 1
+		for ; i > 0 && d < row[top[i-1]]; i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = v
+	}
+	for i := 1; i < len(top); i++ {
+		if row[top[i]] == row[top[i-1]] {
+			order := make([]int, 0, len(row))
+			for v := range row {
+				if v != self {
+					order = append(order, v)
+				}
+			}
+			sort.Slice(order, func(i, j int) bool { return row[order[i]] < row[order[j]] })
+			return order[:min(k, len(order))]
+		}
+	}
+	return top[:min(k, len(top))]
 }
 
 // buildCompactMesh wires each peer to its Degree nearest peers without ever
@@ -304,8 +342,8 @@ func (o *Overlay) Latency(a, b int) float64 {
 	if o.lat != nil {
 		return o.lat[a][b]
 	}
-	if p, ok := o.Route(a, b); ok {
-		return p.Latency
+	if lat, _, ok := o.RouteQoS(a, b); ok {
+		return lat
 	}
 	return math.Inf(1)
 }
@@ -333,16 +371,10 @@ func (o *Overlay) AddPeer(g *Graph, ip, degree int, rng *rand.Rand) int {
 	o.lat = append(o.lat, row)
 	o.adj = append(o.adj, nil)
 
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return row[order[a]] < row[order[b]] })
 	if degree < 1 {
 		degree = 4
 	}
-	for i := 0; i < degree && i < len(order); i++ {
-		v := order[i]
+	for _, v := range nearestK(row, n, degree) {
 		if o.hasLink(n, v) {
 			continue
 		}
@@ -388,11 +420,27 @@ func (o *Overlay) cacheGet(src int) (routeTable, bool) {
 	return s.rt, true
 }
 
-// cacheAdd inserts src's table at the head of the recency list, evicting the
-// least recently used table when the bound is exceeded. Eviction follows only
-// the (deterministic) access sequence, so same-seed runs evict identically.
-func (o *Overlay) cacheAdd(src int, rt routeTable) {
-	s := &routeSlot{src: src, rt: rt, next: o.lruHead}
+// cacheAdd computes src's full table and inserts it at the head of the
+// recency list. When the cache is at its bound, the least recently used slot
+// is unlinked first and refilled in place, so a full cache recomputes
+// without allocating. Eviction follows only the (deterministic) access
+// sequence, so same-seed runs evict identically.
+func (o *Overlay) cacheAdd(src int) routeTable {
+	var s *routeSlot
+	if o.routeCap >= 0 && len(o.routeCache) >= o.routeCap {
+		s = o.lruTail
+		o.lruTail = s.prev
+		if o.lruTail != nil {
+			o.lruTail.next = nil
+		} else {
+			o.lruHead = nil
+		}
+		delete(o.routeCache, s.src)
+	} else {
+		s = &routeSlot{rt: newRouteTable(o.N())}
+	}
+	o.dijkstraInto(src, s.rt)
+	s.src, s.prev, s.next = src, nil, o.lruHead
 	if o.lruHead != nil {
 		o.lruHead.prev = s
 	} else {
@@ -400,16 +448,7 @@ func (o *Overlay) cacheAdd(src int, rt routeTable) {
 	}
 	o.lruHead = s
 	o.routeCache[src] = s
-	if o.routeCap >= 0 && len(o.routeCache) > o.routeCap {
-		victim := o.lruTail
-		o.lruTail = victim.prev
-		if o.lruTail != nil {
-			o.lruTail.next = nil
-		} else {
-			o.lruHead = nil
-		}
-		delete(o.routeCache, victim.src)
-	}
+	return s.rt
 }
 
 // freezeLinks packs the per-peer link lists into the frozen CSR arrays.
@@ -453,17 +492,51 @@ func (o *Overlay) Route(a, b int) (Path, bool) {
 	if a == b {
 		return Path{Peers: []int{a}, Latency: 0}, true
 	}
-	if rt, ok := o.cacheGet(a); ok {
-		return o.pathFrom(rt, a, b)
+	rt, ok := o.cacheGet(a)
+	if !ok {
+		rt = o.missTable(a, b)
 	}
-	if o.routeCap >= 0 && len(o.routeCache) >= o.routeCap {
-		if p, ok, hit := o.routeNear(a, b); hit {
-			return p, ok
+	return o.pathFrom(rt, a, b)
+}
+
+// RouteQoS returns the latency and the bottleneck available bandwidth (kbps)
+// of the path Route(a, b) returns, or ok=false if none exists. It walks the
+// same predecessor chain without materializing a Path, so a cache hit
+// allocates nothing; the bottleneck is a min, so the values are bit-identical
+// to Route followed by AvailBandwidth. a == b has latency 0 and infinite
+// bandwidth, as the empty path does.
+func (o *Overlay) RouteQoS(a, b int) (latency, bottleneck float64, ok bool) {
+	if a == b {
+		return 0, math.Inf(1), true
+	}
+	rt, hit := o.cacheGet(a)
+	if !hit {
+		rt = o.missTable(a, b)
+	}
+	if math.IsInf(rt.dist[b], 1) {
+		return 0, 0, false
+	}
+	bottleneck = math.Inf(1)
+	for at := b; at != a; at = int(rt.prevPeer[at]) {
+		if avail := o.links[rt.prevLink[at]].avail; avail < bottleneck {
+			bottleneck = avail
 		}
 	}
-	rt := o.dijkstra(a)
-	o.cacheAdd(a, rt)
-	return o.pathFrom(rt, a, b)
+	return rt.dist[b], bottleneck, true
+}
+
+// missTable answers a route-cache miss from a with a table whose entries on
+// the a→b path — b's distance (+Inf when unreachable) and every predecessor
+// back to a — are exact: the truncated-search scratch when the cache is full
+// and b is near, otherwise a freshly computed table added to the cache. The
+// result aliases cache or scratch storage and is valid only until the next
+// routing call. Route and RouteQoS look the cache up themselves, so a hit
+// costs no extra call (measurably faster on cache-hit Route).
+func (o *Overlay) missTable(a, b int) routeTable {
+	if o.routeCap >= 0 && len(o.routeCache) >= o.routeCap && o.routeNear(a, b) {
+		return o.trunc.routeTable
+	}
+	return o.cacheAdd(a)
 }
 
 // pathFrom materializes the a→b path from a per-source table. Walk the
@@ -475,42 +548,38 @@ func (o *Overlay) pathFrom(rt routeTable, a, b int) (Path, bool) {
 		return Path{}, false
 	}
 	hops := 0
-	for at := b; at != a; at = rt.prevPeer[at] {
+	for at := b; at != a; at = int(rt.prevPeer[at]) {
 		hops++
 	}
 	peers := make([]int, hops+1)
 	links := make([]int, hops)
 	i := hops
-	for at := b; at != a; at = rt.prevPeer[at] {
+	for at := b; at != a; at = int(rt.prevPeer[at]) {
 		peers[i] = at
-		links[i-1] = rt.prevLink[at]
+		links[i-1] = int(rt.prevLink[at])
 		i--
 	}
 	peers[0] = a
 	return Path{Peers: peers, Links: links, Latency: rt.dist[b]}, true
 }
 
-// routeNear runs Dijkstra from a but stops as soon as b settles, giving up
-// once the settled ball exceeds ~n/8 peers. hit reports whether the search
-// reached a verdict: b settled (the path is exact — a settled node's
-// distance and predecessor are final, and the relaxation order up to that
-// point is identical to the full run's), or a's entire component settled
-// without finding b (no route exists). hit=false means b lies outside the
-// ball and the caller must fall back to a full Dijkstra. Nothing is cached;
-// the epoch-stamped scratch keeps per-call cost O(ball), not O(peers).
-func (o *Overlay) routeNear(a, b int) (Path, bool, bool) {
+// routeNear runs Dijkstra from a into the o.trunc scratch but stops as soon
+// as b settles, giving up once the settled ball exceeds ~n/8 peers. It
+// reports whether the search reached a verdict: b settled (its distance and
+// predecessor chain are exact — a settled node's entries are final, and the
+// relaxation order up to that point is identical to the full run's), or a's
+// entire component settled without finding b (b's distance stays +Inf: no
+// route exists). false means b lies outside the ball and the caller must
+// fall back to a full Dijkstra. Nothing is cached; the epoch-stamped scratch
+// keeps per-call cost O(ball), not O(peers).
+func (o *Overlay) routeNear(a, b int) bool {
 	if o.loff == nil {
 		o.freezeLinks()
 	}
 	n := o.N()
 	ts := o.trunc
 	if ts == nil || len(ts.dist) < n {
-		ts = &truncRouteState{
-			dist:     make([]float64, n),
-			prevPeer: make([]int32, n),
-			prevLink: make([]int32, n),
-			stamp:    make([]uint32, n),
-		}
+		ts = &truncRouteState{routeTable: newRouteTable(n), stamp: make([]uint32, n)}
 		o.trunc = ts
 	}
 	ts.epoch++
@@ -534,6 +603,7 @@ func (o *Overlay) routeNear(a, b int) (Path, bool, bool) {
 	}
 	ts.pq.reset()
 	touch(int32(a))
+	touch(int32(b)) // so the unreachable verdict reads +Inf, not a stale entry
 	ts.dist[a] = 0
 	ts.pq.push(distItem{node: a, dist: 0})
 	settled := 0
@@ -543,24 +613,11 @@ func (o *Overlay) routeNear(a, b int) (Path, bool, bool) {
 			continue
 		}
 		if it.node == b {
-			hops := 0
-			for at := b; at != a; at = int(ts.prevPeer[at]) {
-				hops++
-			}
-			peers := make([]int, hops+1)
-			links := make([]int, hops)
-			i := hops
-			for at := b; at != a; at = int(ts.prevPeer[at]) {
-				peers[i] = at
-				links[i-1] = int(ts.prevLink[at])
-				i--
-			}
-			peers[0] = a
-			return Path{Peers: peers, Links: links, Latency: ts.dist[b]}, true, true
+			return true
 		}
 		settled++
 		if settled >= limit {
-			return Path{}, false, false
+			return false
 		}
 		for i, end := o.loff[it.node], o.loff[it.node+1]; i < end; i++ {
 			to := o.lto[i]
@@ -575,18 +632,14 @@ func (o *Overlay) routeNear(a, b int) (Path, bool, bool) {
 	}
 	// The queue drained before the limit: a's entire component is settled
 	// and b is not in it.
-	return Path{}, false, true
+	return true
 }
 
-func (o *Overlay) dijkstra(src int) routeTable {
+// dijkstraInto fills rt (sized to the peer count) with the full
+// shortest-path tree from src.
+func (o *Overlay) dijkstraInto(src int, rt routeTable) {
 	if o.loff == nil {
 		o.freezeLinks()
-	}
-	n := o.N()
-	rt := routeTable{
-		dist:     make([]float64, n),
-		prevPeer: make([]int, n),
-		prevLink: make([]int, n),
 	}
 	for i := range rt.dist {
 		rt.dist[i] = math.Inf(1)
@@ -602,16 +655,15 @@ func (o *Overlay) dijkstra(src int) routeTable {
 			continue
 		}
 		for i, end := o.loff[it.node], o.loff[it.node+1]; i < end; i++ {
-			to := int(o.lto[i])
+			to := o.lto[i]
 			if nd := it.dist + o.llat[i]; nd < rt.dist[to] {
 				rt.dist[to] = nd
-				rt.prevPeer[to] = it.node
-				rt.prevLink[to] = int(o.llink[i])
-				pq.push(distItem{node: to, dist: nd})
+				rt.prevPeer[to] = int32(it.node)
+				rt.prevLink[to] = o.llink[i]
+				pq.push(distItem{node: int(to), dist: nd})
 			}
 		}
 	}
-	return rt
 }
 
 // AvailBandwidth returns the bottleneck available bandwidth along p in kbps.

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -20,6 +21,14 @@ func cacheOverlay(t testing.TB, peers, cacheSize int) *Overlay {
 		CapMax:         5000,
 		RouteCacheSize: cacheSize,
 	}, rng)
+}
+
+// dijkstra is the uncached oracle: a fresh full table from src, bypassing
+// the cache and its recycled slots.
+func (o *Overlay) dijkstra(src int) routeTable {
+	rt := newRouteTable(o.N())
+	o.dijkstraInto(src, rt)
+	return rt
 }
 
 // pathString renders a path for byte-exact comparison.
@@ -175,5 +184,92 @@ func TestRouteCacheDisconnectedComponents(t *testing.T) {
 		if _, ok := o.Route(0, a); ok {
 			t.Fatalf("route 0→%d should not exist after severing peer 0", a)
 		}
+	}
+}
+
+// TestRouteQoSMatchesRoute requires RouteQoS to return, bit for bit, the
+// latency and bottleneck of Route followed by AvailBandwidth for every pair —
+// through cache hits, the truncated search and evict-and-recompute at K=2,
+// and unbounded — both on fresh links and after reservations have made the
+// bottlenecks differ. The degree-1 mesh splits into components, so
+// unreachable pairs are covered too.
+func TestRouteQoSMatchesRoute(t *testing.T) {
+	for _, degree := range []int{4, 1} {
+		for _, bound := range []int{2, -1} {
+			rng := rand.New(rand.NewSource(11))
+			g := GeneratePowerLaw(600, 2, 2, 30, rng)
+			o := BuildOverlay(g, OverlayConfig{
+				NumPeers: 80, Kind: Mesh, Degree: degree,
+				CapMin: 1000, CapMax: 5000, RouteCacheSize: bound,
+			}, rng)
+			check := func(phase string) (unreachable int) {
+				for a := 0; a < o.N(); a++ {
+					for b := 0; b < o.N(); b++ {
+						lat, bw, ok := o.RouteQoS(a, b)
+						p, pok := o.Route(a, b)
+						if ok != pok {
+							t.Fatalf("degree %d K=%d %s %d→%d: RouteQoS ok=%v, Route ok=%v", degree, bound, phase, a, b, ok, pok)
+						}
+						if !ok {
+							unreachable++
+							continue
+						}
+						if math.Float64bits(lat) != math.Float64bits(p.Latency) ||
+							math.Float64bits(bw) != math.Float64bits(o.AvailBandwidth(p)) {
+							t.Fatalf("degree %d K=%d %s %d→%d: RouteQoS (%v, %v), Route (%v, %v)",
+								degree, bound, phase, a, b, lat, bw, p.Latency, o.AvailBandwidth(p))
+						}
+					}
+				}
+				return unreachable
+			}
+			unreachable := check("fresh")
+			if degree == 1 && unreachable == 0 {
+				t.Fatalf("degree-1 mesh K=%d: expected unreachable pairs", bound)
+			}
+			for i := 0; i < 200; i++ {
+				if p, ok := o.Route(rng.Intn(80), rng.Intn(80)); ok {
+					o.AllocBandwidth(p, 50+rng.Float64()*400)
+				}
+			}
+			check("allocated")
+		}
+	}
+}
+
+// TestRouteQoSCacheHitAllocs: answering from a cached table must not
+// allocate — the oracle asks this on every probe hop.
+func TestRouteQoSCacheHitAllocs(t *testing.T) {
+	o := cacheOverlay(t, 80, -1)
+	o.RouteQoS(3, 50)
+	if allocs := testing.AllocsPerRun(100, func() { o.RouteQoS(3, 50) }); allocs != 0 {
+		t.Fatalf("cache-hit RouteQoS allocates %v times per call", allocs)
+	}
+}
+
+// TestRouteCacheRecyclesVictim: a miss on a full cache that falls through to
+// a full Dijkstra must refill the evicted slot's arrays in place.
+func TestRouteCacheRecyclesVictim(t *testing.T) {
+	o := cacheOverlay(t, 80, 2)
+	o.Route(0, 1)
+	o.Route(1, 0)
+	victim := o.lruTail
+	dist := &victim.rt.dist[0]
+	// The peer farthest from 5 settles last, beyond routeNear's 32-peer
+	// ball, so the route forces a full table.
+	oracle := o.dijkstra(5)
+	far := 0
+	for p, d := range oracle.dist {
+		if d > oracle.dist[far] {
+			far = p
+		}
+	}
+	o.Route(5, far)
+	s, ok := o.routeCache[5]
+	if !ok || s != victim || &s.rt.dist[0] != dist {
+		t.Fatalf("full-table miss did not reuse the evicted slot (cached=%v)", ok)
+	}
+	if _, ok := o.routeCache[0]; ok {
+		t.Fatal("least recently used source 0 still cached")
 	}
 }

@@ -15,6 +15,15 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+# Worker fan-out gate: PairDistances spreads its per-source Dijkstras over
+# GOMAXPROCS workers, and the race run above uses the default P count only.
+# Race the fan-out, and the differentials against the sequential sort-based
+# overlay builder (nearestK, wiring of every overlay kind, diff_test.go), at
+# 1, 2 and 8 Ps.
+echo "== go test -race -cpu 1,2,8 (parallel PairDistances + overlay wiring)"
+go test -race -cpu 1,2,8 -count=1 \
+    -run 'TestPairDistancesMatchesDijkstra|TestNearestK|TestDiff|FuzzDiffGraph' ./internal/topology
+
 # Coverage gate: per-package statement coverage must stay at or above the
 # floor. Packages without test files are reported but do not fail the gate;
 # adding their first test pulls them in automatically.
