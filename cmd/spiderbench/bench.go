@@ -57,7 +57,6 @@ func runBench(dir string) error {
 		{"dht/buildring1k", benchBuildRing(1000)},
 		{"dht/buildring10k", benchBuildRing(10000)},
 		{"dht/buildring100k", benchBuildRing(100000)},
-		{"dht/buildlegacy1k", benchBuildLegacy1k},
 		{"overlay/route", benchOverlayRoute},
 		{"overlay/routeevict", benchRouteCacheEvict},
 		{"service/cost", benchCost},
@@ -169,19 +168,6 @@ func benchBuildRing(n int) func(b *testing.B) {
 			b.StartTimer()
 			dht.Build(nodes)
 		}
-	}
-}
-
-// benchBuildLegacy1k is the all-pairs reference builder at 1k nodes, kept in
-// the suite so the committed baselines document the gap the sorted-ring
-// construction closes (≥50× at this size, growing linearly with n).
-func benchBuildLegacy1k(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		nodes := freshRing(1000)
-		b.StartTimer()
-		dht.BuildLegacy(nodes)
 	}
 }
 

@@ -274,38 +274,27 @@ func main() {
 			writeCSV("federate", res.Table)
 		})
 	}
-	// The 100k capacity sweep is explicit-only: it measures machine-dependent
+	// The capacity sweep is explicit-only: it measures machine-dependent
 	// wall-clock and heap cost, so folding it into "all" would make the
-	// default run's duration depend on the host rather than the paper.
-	if *fig == "scale100k" {
+	// default run's duration depend on the host rather than the paper. Each
+	// tier keeps its figure name and CSV file names; scale1m is the headline
+	// run (1M IP nodes, a 100k-peer compact overlay under a bounded route
+	// cache, and a 100k-peer sorted-ring discovery plane).
+	if *fig == "scale100k" || *fig == "scale1m" {
 		ran = true
-		run("Scale100k (capacity sweep)", func() {
+		run(*fig+" (capacity sweep)", func() {
 			cfg := experiment.DefaultScale100kConfig()
+			if *fig == "scale1m" {
+				cfg = experiment.DefaultScale1mConfig()
+			}
 			cfg.Seed = *seed
 			cfg.Trace = trace
 			cfg.Parallel = *parallel
-			res := experiment.Scale100k(cfg)
+			res := experiment.Capacity(cfg)
 			res.TopoTable.Render(os.Stdout)
 			res.DiscTable.Render(os.Stdout)
-			writeCSV("scale100k_topo", res.TopoTable)
-			writeCSV("scale100k_disc", res.DiscTable)
-		})
-	}
-	// The million-node sweep is likewise explicit-only, and is the headline
-	// capacity run: 1M IP nodes, a 100k-peer compact overlay under a bounded
-	// route cache, and a 100k-peer sorted-ring discovery plane.
-	if *fig == "scale1m" {
-		ran = true
-		run("Scale1m (capacity sweep)", func() {
-			cfg := experiment.DefaultScale1mConfig()
-			cfg.Seed = *seed
-			cfg.Trace = trace
-			cfg.Parallel = *parallel
-			res := experiment.Scale1m(cfg)
-			res.TopoTable.Render(os.Stdout)
-			res.DiscTable.Render(os.Stdout)
-			writeCSV("scale1m_topo", res.TopoTable)
-			writeCSV("scale1m_disc", res.DiscTable)
+			writeCSV(*fig+"_topo", res.TopoTable)
+			writeCSV(*fig+"_disc", res.DiscTable)
 		})
 	}
 	if !ran {

@@ -20,8 +20,8 @@ type NodeID int
 const NoNode NodeID = -1
 
 // Message is the envelope exchanged between peers. Payload holds a
-// protocol-specific struct; within one process no serialization is needed,
-// and the live TCP driver registers payload types with encoding/gob.
+// protocol-specific struct; every runtime delivers it within one process, so
+// no serialization is needed.
 type Message struct {
 	Type    string // handler key, e.g. "bcp.probe"
 	From    NodeID

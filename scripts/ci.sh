@@ -12,6 +12,21 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
+# Reachability gate: every internal package must be imported, directly or
+# not, by a command, an example, or the public facade. A package that only
+# its own tests reach is dead code: delete it or give it a real caller.
+echo "== internal packages reachable from cmd/, examples/ or the facade"
+unreached="$(
+    { go list -deps ./cmd/... ./examples/... . | sed 's/^/dep /'
+      go list ./internal/... | sed 's/^/pkg /'; } |
+    awk '$1 == "dep" { dep[$2] = 1; next } !($2 in dep) { print $2 }'
+)"
+if [ -n "$unreached" ]; then
+    echo "reachability: internal packages only their own tests reach:"
+    echo "$unreached"
+    exit 1
+fi
+
 echo "== go test -race ./..."
 go test -race ./...
 
