@@ -98,14 +98,13 @@ func main() {
 		return
 	}
 
-	// Figure 10 runs on the live TCP runtime, outside the virtual clock, so
-	// the deterministic tracer is wired only into the simulated figures
-	// (8, 9, 11, overhead).
+	// Figure 10 runs on the live goroutine runtime (livenet), outside the
+	// virtual clock, so the deterministic tracer is wired into every other
+	// figure, all of which run on the simulator.
 	var (
-		trace   obs.Tracer
-		tf      *obs.TraceFile
-		reg     *obs.Registry
-		tracers obs.MultiTracer
+		trace obs.Tracer
+		tf    *obs.TraceFile
+		reg   *obs.Registry
 	)
 	if *traceFile != "" {
 		var err error
@@ -114,17 +113,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			os.Exit(1)
 		}
-		tracers = append(tracers, tf)
+		trace = tf
 	}
 	if *stats {
 		reg = obs.NewRegistry()
-	}
-	switch len(tracers) {
-	case 0:
-	case 1:
-		trace = tracers[0]
-	default:
-		trace = tracers
 	}
 
 	writeCSV := func(name string, t *metrics.Table) {

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sync"
@@ -38,51 +39,53 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args as spidersim's command line and runs it, writing reports
+// to stdout and diagnostics to os.Stderr.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("spidersim", flag.ExitOnError)
 	var (
-		seed      = flag.Int64("seed", 1, "simulation seed")
-		ipNodes   = flag.Int("ipnodes", 2000, "IP-layer nodes")
-		peers     = flag.Int("peers", 200, "overlay peers")
-		functions = flag.Int("functions", 40, "function catalogue size")
-		requests  = flag.Int("requests", 100, "composition requests")
-		budget    = flag.Int("budget", 20, "probing budget per request")
-		minFuncs  = flag.Int("minfuncs", 2, "min functions per request")
-		maxFuncs  = flag.Int("maxfuncs", 4, "max functions per request")
-		churn     = flag.Float64("churn", 0, "fraction of peers failing per minute")
-		scenario  = flag.String("scenario", "", "stress scenario layered on the workload, e.g. zipf=1.2,diurnal=60s@0.5,flash=fn3:10@30s+20s,churn=0.02@30s+20s")
-		duration  = flag.Duration("duration", 5*time.Minute, "simulated duration")
-		dagProb   = flag.Float64("dag", 0.2, "probability of DAG-shaped requests")
-		commute   = flag.Float64("commute", 0.2, "probability of commutation links")
-		faults    = flag.String("faults", "", "fault spec, e.g. loss=0.05,dup=0.01,jitter=20ms,partition=10s@30s,seed=3")
-		domains   = flag.String("domains", "", "federate the overlay into administrative domains and commit cross-domain sessions with 2PC, e.g. domains=4,gateways=2,hold=10s,life=30s")
-		shards    = flag.Int("shards", 0, "split the DHT keyspace across this many independent rings (0/1 = one flat ring); mutually exclusive with -domains")
-		loadBase  = flag.Duration("load", 0, "enable the overload control plane: per-peer processing delay base (M/M/1 inflation with utilization); 0 = off")
-		shed      = flag.Float64("shed", 0.8, "with -load: utilization threshold at which peers shed probes (0 disables shedding)")
-		specFile  = flag.String("spec", "", "compose a single request from a QoSTalk-style XML spec file")
-		traceFile = flag.String("trace", "", "write a deterministic JSONL event trace to this file (.gz compresses)")
-		stats     = flag.Bool("stats", false, "print per-layer counter tables, histograms, and a trace summary")
-		summarize = flag.String("summarize", "", "summarize an existing JSONL trace file and exit")
-		check     = flag.Bool("check", false, "verify trace invariants: on the given trace files, or on this run")
-		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "workers for multi-file -check; 1 = serial")
+		seed      = fs.Int64("seed", 1, "simulation seed")
+		ipNodes   = fs.Int("ipnodes", 2000, "IP-layer nodes")
+		peers     = fs.Int("peers", 200, "overlay peers")
+		functions = fs.Int("functions", 40, "function catalogue size")
+		requests  = fs.Int("requests", 100, "composition requests")
+		budget    = fs.Int("budget", 20, "probing budget per request")
+		minFuncs  = fs.Int("minfuncs", 2, "min functions per request")
+		maxFuncs  = fs.Int("maxfuncs", 4, "max functions per request")
+		churn     = fs.Float64("churn", 0, "fraction of peers failing per minute")
+		scenario  = fs.String("scenario", "", "stress scenario layered on the workload, e.g. zipf=1.2,diurnal=60s@0.5,flash=fn3:10@30s+20s,churn=0.02@30s+20s")
+		duration  = fs.Duration("duration", 5*time.Minute, "simulated duration")
+		dagProb   = fs.Float64("dag", 0.2, "probability of DAG-shaped requests")
+		commute   = fs.Float64("commute", 0.2, "probability of commutation links")
+		faults    = fs.String("faults", "", "fault spec, e.g. loss=0.05,dup=0.01,jitter=20ms,partition=10s@30s,seed=3")
+		domains   = fs.String("domains", "", "federate the overlay into administrative domains and commit cross-domain sessions with 2PC, e.g. domains=4,gateways=2,hold=10s,life=30s")
+		shards    = fs.Int("shards", 0, "split the DHT keyspace across this many independent rings (0/1 = one flat ring); mutually exclusive with -domains")
+		loadBase  = fs.Duration("load", 0, "enable the overload control plane: per-peer processing delay base (M/M/1 inflation with utilization); 0 = off")
+		shed      = fs.Float64("shed", 0.8, "with -load: utilization threshold at which peers shed probes (0 disables shedding)")
+		specFile  = fs.String("spec", "", "compose a single request from a QoSTalk-style XML spec file")
+		traceFile = fs.String("trace", "", "write a deterministic JSONL event trace to this file (.gz compresses)")
+		stats     = fs.Bool("stats", false, "print per-layer counter tables, histograms, and a trace summary")
+		summarize = fs.String("summarize", "", "summarize an existing JSONL trace file and exit")
+		check     = fs.Bool("check", false, "verify trace invariants: on the given trace files, or on this run")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits with status 2 inside Parse
 
 	if *summarize != "" {
-		return summarizeTrace(*summarize)
+		return summarizeTrace(stdout, *summarize)
 	}
 
-	if *check && flag.NArg() > 0 {
-		return checkTraceFiles(flag.Args(), *parallel)
+	if *check && fs.NArg() > 0 {
+		return checkTraceFiles(fs.Args())
 	}
 
 	if *specFile != "" {
-		return composeSpec(*specFile, *seed, *ipNodes, *peers, *functions)
+		return composeSpec(stdout, *specFile, *seed, *ipNodes, *peers, *functions)
 	}
 
 	var fspec *simnet.FaultSpec
@@ -343,7 +346,7 @@ func run() error {
 		t.AddRow("reactive recoveries", rec.Reactives)
 		t.AddRow("unrecovered failures", rec.Dead)
 	}
-	t.Render(os.Stdout)
+	t.Render(stdout)
 
 	if tf != nil {
 		n := tf.Count()
@@ -353,17 +356,17 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "trace: %d events -> %s\n", n, *traceFile)
 	}
 	if *stats {
-		reg.Table("per-layer counters (all nodes)").Render(os.Stdout)
-		reg.PerNodeTable("busiest nodes", 10).Render(os.Stdout)
-		met.Table("distribution metrics").Render(os.Stdout)
-		met.PhaseTable("setup-latency phases (live histograms)").Render(os.Stdout)
+		reg.Table("per-layer counters (all nodes)").Render(stdout)
+		reg.PerNodeTable("busiest nodes", 10).Render(stdout)
+		met.Table("distribution metrics").Render(stdout)
+		met.PhaseTable("setup-latency phases (live histograms)").Render(stdout)
 		s := obs.Summarize(mem.Events())
-		s.Table("trace summary").Render(os.Stdout)
+		s.Table("trace summary").Render(stdout)
 		b := span.NewBuilder()
 		for _, ev := range mem.Events() {
 			b.Add(ev)
 		}
-		span.PhaseTable(b.Build(), "setup-latency phases (span trees)").Render(os.Stdout)
+		span.PhaseTable(b.Build(), "setup-latency phases (span trees)").Render(stdout)
 	}
 	if *check {
 		if hung := attempted - completed; hung > 0 {
@@ -384,17 +387,12 @@ func run() error {
 }
 
 // checkTraceFiles verifies trace invariants on existing (possibly gzipped)
-// trace files, loading and checking up to `parallel` files concurrently.
+// trace files, loading and checking up to GOMAXPROCS files concurrently.
 // Results are reported in argument order regardless of completion order.
 // Counter cross-checks need the live registry, so file mode runs only the
 // event-level invariants.
-func checkTraceFiles(paths []string, parallel int) error {
-	if parallel > len(paths) {
-		parallel = len(paths)
-	}
-	if parallel < 1 {
-		parallel = 1
-	}
+func checkTraceFiles(paths []string) error {
+	parallel := min(runtime.GOMAXPROCS(0), len(paths))
 	type outcome struct {
 		n   int
 		vs  []obs.Violation
@@ -454,7 +452,7 @@ func reportViolations(what string, vs []obs.Violation) error {
 // summarizeTrace reads a JSONL trace produced by -trace — streaming, so
 // multi-gigabyte sweep traces summarize in constant memory — and prints the
 // per-request latency/overhead breakdown plus the span-tree phase table.
-func summarizeTrace(path string) error {
+func summarizeTrace(stdout io.Writer, path string) error {
 	z := obs.NewSummarizer()
 	b := span.NewBuilder()
 	if err := obs.StreamTrace(path, func(ev obs.Event) error {
@@ -465,15 +463,15 @@ func summarizeTrace(path string) error {
 		return err
 	}
 	s := z.Summary()
-	s.Table("trace summary: " + path).Render(os.Stdout)
-	s.RequestTable("per-request breakdown").Render(os.Stdout)
-	span.PhaseTable(b.Build(), "setup-latency phases").Render(os.Stdout)
+	s.Table("trace summary: " + path).Render(stdout)
+	s.RequestTable("per-request breakdown").Render(stdout)
+	span.PhaseTable(b.Build(), "setup-latency phases").Render(stdout)
 	return nil
 }
 
 // composeSpec parses one XML composite-service spec, binds random
 // endpoints, and composes it on a fresh deployment.
-func composeSpec(path string, seed int64, ipNodes, peers, functions int) error {
+func composeSpec(stdout io.Writer, path string, seed int64, ipNodes, peers, functions int) error {
 	req, err := spec.ParseFile(path)
 	if err != nil {
 		return err
@@ -481,14 +479,13 @@ func composeSpec(path string, seed int64, ipNodes, peers, functions int) error {
 	c := cluster.New(cluster.Options{
 		Seed: seed, IPNodes: ipNodes, Peers: peers, Catalog: catalog(functions),
 	})
-	// Deploy the spec's functions too, in case the catalogue lacks them.
-	missing := map[string]bool{}
+	// Deploy the spec's functions too, in case the catalogue lacks them. The
+	// joins go in the spec's function order: each one draws from the
+	// cluster's RNG and takes the next peer ID.
 	for _, fn := range req.FGraph.Functions() {
-		if c.Replicas(fn) == 0 {
-			missing[fn] = true
+		if c.Replicas(fn) > 0 {
+			continue // catalogued, or already joined for a repeated function
 		}
-	}
-	for fn := range missing {
 		for i := 0; i < 3; i++ {
 			c.Join([]string{fn}, 0)
 		}
@@ -501,15 +498,15 @@ func composeSpec(path string, seed int64, ipNodes, peers, functions int) error {
 	c.Peers[0].Engine.Compose(req, func(res bcp.Result) {
 		done = true
 		if !res.Ok {
-			fmt.Println("no qualified composition")
+			fmt.Fprintln(stdout, "no qualified composition")
 			return
 		}
-		fmt.Printf("composed: %s\nQoS: %s\nbackups: %d\nsetup: %v (discovery %v)\n",
+		fmt.Fprintf(stdout, "composed: %s\nQoS: %s\nbackups: %d\nsetup: %v (discovery %v)\n",
 			res.Best, res.Best.QoS, len(res.Backups), res.SetupTime, res.DiscoveryTime)
 	})
 	c.Sim.Run(c.Sim.Now() + 120*time.Second)
 	if !done {
-		fmt.Println("composition never completed")
+		fmt.Fprintln(stdout, "composition never completed")
 	}
 	return nil
 }

@@ -95,7 +95,7 @@ func runChaosSeed(t *testing.T, seed int64, loss float64) {
 			})
 		})
 	}
-	// The virtual clock must drain: GiveUpTimeout bounds every composition,
+	// The virtual clock must drain: giveUpTimeout bounds every composition,
 	// so an idle scheduler with missing callbacks means a hung session.
 	c.Sim.RunUntilIdle()
 

@@ -31,38 +31,42 @@ const (
 	MsgTeardown = "bcp.teardown"
 )
 
-// Config tunes protocol timers and bounds. The zero value is unusable; use
-// DefaultConfig.
+// Protocol timers and bounds every deployment uses.
+const (
+	// collectTimeout is the base duration the destination waits for probes
+	// of one request before running optimal composition selection (§4.3).
+	// The effective window grows by collectPerHop for every function in the
+	// request, since probes for deeper graphs spend longer in flight.
+	collectTimeout = 1200 * time.Millisecond
+	// collectPerHop extends the collection window per function node.
+	collectPerHop = 400 * time.Millisecond
+	// discoveryTimeout bounds each DHT lookup during the discovery phase.
+	discoveryTimeout = 2 * time.Second
+	// cacheTTL is how long a peer trusts a cached function→duplicates list.
+	cacheTTL = 30 * time.Second
+	// maxBranches caps the DAG branch paths enumerated per pattern.
+	maxBranches = 8
+	// maxCandidates caps the merged candidate service graphs evaluated at
+	// the destination.
+	maxCandidates = 256
+	// giveUpTimeout bounds the sender's total wait for a composition
+	// outcome; if every probe dies en route no destination collector ever
+	// answers, and this timer converts silence into a failed Result.
+	giveUpTimeout = 10 * time.Second
+)
+
+// Config tunes the protocol knobs experiments vary. The zero value is
+// unusable; use DefaultConfig.
 type Config struct {
 	// SoftTimeout is how long a probe's temporary resource reservation is
 	// held before it self-cancels (§4.2 step 2.1).
 	SoftTimeout time.Duration
-	// CollectTimeout is the base duration the destination waits for probes
-	// of one request before running optimal composition selection (§4.3).
-	// The effective window grows by CollectPerHop for every function in the
-	// request, since probes for deeper graphs spend longer in flight.
-	CollectTimeout time.Duration
-	// CollectPerHop extends the collection window per function node.
-	CollectPerHop time.Duration
-	// DiscoveryTimeout bounds each DHT lookup during the discovery phase.
-	DiscoveryTimeout time.Duration
-	// CacheTTL is how long a peer trusts a cached function→duplicates list.
-	CacheTTL time.Duration
 	// MaxPatterns caps the commutation-induced composition patterns
 	// explored per request.
 	MaxPatterns int
-	// MaxBranches caps the DAG branch paths enumerated per pattern.
-	MaxBranches int
-	// MaxCandidates caps the merged candidate service graphs evaluated at
-	// the destination.
-	MaxCandidates int
 	// MaxBackups caps the number of qualified backup graphs returned to the
 	// source for proactive failure recovery.
 	MaxBackups int
-	// GiveUpTimeout bounds the sender's total wait for a composition
-	// outcome; if every probe dies en route no destination collector ever
-	// answers, and this timer converts silence into a failed Result.
-	GiveUpTimeout time.Duration
 	// ProbeAckTimeout, when positive, enables per-hop probe hardening for
 	// lossy networks: each probe/report transmission is acknowledged by the
 	// receiver, and an unacknowledged copy is retransmitted (same UID, no
@@ -109,16 +113,9 @@ type Config struct {
 // DefaultConfig returns the configuration used by the experiments.
 func DefaultConfig() Config {
 	return Config{
-		SoftTimeout:      4 * time.Second,
-		CollectTimeout:   1200 * time.Millisecond,
-		CollectPerHop:    400 * time.Millisecond,
-		DiscoveryTimeout: 2 * time.Second,
-		CacheTTL:         30 * time.Second,
-		MaxPatterns:      4,
-		MaxBranches:      8,
-		MaxCandidates:    256,
-		MaxBackups:       8,
-		GiveUpTimeout:    10 * time.Second,
+		SoftTimeout: 4 * time.Second,
+		MaxPatterns: 4,
+		MaxBackups:  8,
 	}
 }
 
@@ -194,13 +191,6 @@ type Engine struct {
 	// load-balancing ψ objective to minimum end-to-end delay, the objective
 	// of the paper's Figure 11 experiment.
 	SelectByDelay bool
-	// Trust, when non-nil, makes next-hop selection trust-aware (the
-	// paper's future-work extension): candidates on peers scoring below
-	// MinTrust are excluded and lower-trust peers are penalized in the
-	// composite metric.
-	Trust TrustOracle
-	// MinTrust is the exclusion threshold used when Trust is set.
-	MinTrust float64
 	// Load, when non-nil, reports peers' current utilization for the
 	// overload control plane: load-aware next-hop scoring (cfg.LoadAware)
 	// and overloaded-candidate pruning (cfg.ShedThreshold). The simulation
@@ -232,12 +222,6 @@ type Engine struct {
 	seenReports seenSet[uint64]
 	doneReqs    seenSet[uint64]
 	ackSeen     seenSet[ackKey]
-}
-
-// TrustOracle scores a peer's trustworthiness in [0,1]; 0.5 is neutral.
-// Implemented by internal/trust.Manager.
-type TrustOracle interface {
-	Score(p p2p.NodeID) float64
 }
 
 // LoadOracle reports a peer's current scalar utilization in [0,1].
@@ -383,7 +367,7 @@ func (e *Engine) Compose(req *service.Request, cb func(Result)) {
 	}
 	st := &composeState{req: req, cb: cb, started: e.host.Now()}
 	e.pending[req.ID] = st
-	st.giveUp = e.host.After(e.cfg.GiveUpTimeout, func() {
+	st.giveUp = e.host.After(giveUpTimeout, func() {
 		if cur, ok := e.pending[req.ID]; ok && cur == st {
 			delete(e.pending, req.ID)
 			// Release whatever a broken ACK chain already committed.
@@ -434,13 +418,13 @@ func (e *Engine) discoverAllCached(fns []string, span uint64, cb func(registry.T
 		cb(table, true)
 		return
 	}
-	e.reg.DiscoverAllSpan(missing, span, e.cfg.DiscoveryTimeout, func(t registry.Table, ok bool) {
+	e.reg.DiscoverAllSpan(missing, span, discoveryTimeout, func(t registry.Table, ok bool) {
 		if !ok {
 			cb(nil, false)
 			return
 		}
 		for f, comps := range t {
-			e.cache[f] = cacheEntry{comps: comps, expires: e.host.Now() + e.cfg.CacheTTL}
+			e.cache[f] = cacheEntry{comps: comps, expires: e.host.Now() + cacheTTL}
 			table[f] = comps
 		}
 		cb(table, true)

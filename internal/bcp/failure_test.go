@@ -84,7 +84,7 @@ func TestChosenPeerFailsBeforeAck(t *testing.T) {
 		done = true
 		out = r
 	})
-	// The collection window is CollectTimeout + 3*CollectPerHop after the
+	// The collection window is collectTimeout + 3*collectPerHop after the
 	// first report (~0.7s in): kill just before selection finishes.
 	c.Sim.Schedule(2*time.Second, func() { c.Net.Fail(chosenFirst) })
 	c.Sim.Run(c.Sim.Now() + 120*time.Second)

@@ -345,9 +345,6 @@ func (e *Engine) eligible(cands []service.Component, prevComp service.Component,
 		if pr.visitedComp(c.ID) {
 			continue
 		}
-		if e.Trust != nil && e.Trust.Score(c.Peer) < e.MinTrust {
-			continue // secure composition: skip distrusted hosts
-		}
 		if e.Load != nil && e.cfg.ShedThreshold > 0 && e.Load.Committed(c.Peer) >= e.cfg.ShedThreshold {
 			continue // overload shedding: the peer is declining new work
 		}
@@ -388,9 +385,6 @@ func (e *Engine) pickNextHop(cands []service.Component, k int, req *service.Requ
 			} else if req.Bandwidth > 0 {
 				score += req.Bandwidth / band
 			}
-		}
-		if e.Trust != nil {
-			score += (1 - e.Trust.Score(c.Peer)) * 5
 		}
 		if e.cfg.LoadAware && e.Load != nil {
 			// Load-aware probing: a saturated peer serves this session (and

@@ -38,8 +38,8 @@ func (e *Engine) onReport(_ p2p.Node, msg p2p.Message) {
 		col = &collector{req: pr.Req}
 		e.collectors[pr.ReqID] = col
 		reqID := pr.ReqID
-		window := e.cfg.CollectTimeout +
-			time.Duration(pr.Req.FGraph.NumFunctions())*e.cfg.CollectPerHop
+		window := collectTimeout +
+			time.Duration(pr.Req.FGraph.NumFunctions())*collectPerHop
 		e.host.After(window, func() { e.finishCollect(reqID) })
 	}
 	if col.done {
@@ -62,7 +62,7 @@ func (e *Engine) finishCollect(reqID uint64) {
 		return
 	}
 	col.done = true
-	e.host.After(10*e.cfg.CollectTimeout, func() { delete(e.collectors, reqID) })
+	e.host.After(10*collectTimeout, func() { delete(e.collectors, reqID) })
 
 	req := col.req
 	candidates := e.mergeRecords(req, col.records)
@@ -166,7 +166,7 @@ func reverseTopo(g *service.Graph) []int {
 
 // mergeRecords groups branch probes by composition pattern and merges
 // agreeing branch records into complete candidate service graphs, bounded
-// by MaxCandidates.
+// by maxCandidates.
 func (e *Engine) mergeRecords(req *service.Request, records []Probe) []*service.Graph {
 	byPattern := make(map[int][]Probe)
 	patterns := make(map[int]*Probe)
@@ -184,7 +184,7 @@ func (e *Engine) mergeRecords(req *service.Request, records []Probe) []*service.
 	seen := make(map[string]bool)
 	for _, pi := range patIdx {
 		pat := patterns[pi].Pattern
-		branches := pat.Branches(e.cfg.MaxBranches)
+		branches := pat.Branches(maxBranches)
 		slots := make([][]Probe, len(branches))
 		for _, r := range byPattern[pi] {
 			if bi := branchIndex(branches, r); bi >= 0 {
@@ -206,9 +206,9 @@ func (e *Engine) mergeRecords(req *service.Request, records []Probe) []*service.
 				seen[key] = true
 				out = append(out, g)
 			}
-			return len(out) < e.cfg.MaxCandidates
+			return len(out) < maxCandidates
 		})
-		if len(out) >= e.cfg.MaxCandidates {
+		if len(out) >= maxCandidates {
 			break
 		}
 	}

@@ -23,7 +23,14 @@ import (
 	"repro/internal/service"
 	"repro/internal/simnet"
 	"repro/internal/topology"
-	"repro/internal/trust"
+)
+
+// Component placement every deployment uses: each component's service delay
+// is drawn from [qpDelayMin, qpDelayMax) ms, and each peer built by New
+// fails with a probability drawn from [0, failProbMax).
+const (
+	qpDelayMin, qpDelayMax = 5.0, 30.0
+	failProbMax            = 0.05
 )
 
 // Options configures a simulated SpiderNet deployment. Zero fields take the
@@ -38,13 +45,8 @@ type Options struct {
 	MinComps int           // components per peer, inclusive range (default 1)
 	MaxComps int           // (default 3)
 	Capacity qos.Resources // per-peer capacity (default cpu=20, mem=200)
-	// QpDelayMin/Max bound each component's service delay in ms
-	// (default 5..30).
-	QpDelayMin, QpDelayMax float64
 	// QpLossMax bounds each component's data loss rate (default 0.004).
 	QpLossMax float64
-	// FailProbMax bounds per-peer failure probability (default 0.05).
-	FailProbMax float64
 	// BCP configures every peer's composition engine.
 	BCP bcp.Config
 	// Load, when non-nil, enables the overload control plane: every peer's
@@ -52,18 +54,14 @@ type Options struct {
 	// processing-delay model, and (per the option fields) BCP becomes
 	// load-aware and sheds work past a utilization threshold.
 	Load *LoadOptions
-	// DynamicJoin grows the DHT with serial joins instead of the static
-	// global-knowledge build.
-	DynamicJoin bool
 	// Shards, when > 1, splits the unfederated deployment's DHT keyspace
 	// across that many independent rings (registry.ShardPlan): registry and
 	// discovery state is O(services per shard), and each ring's membership
 	// state is bounded by the shard size instead of the peer count (the
 	// sorted-ring build is O(n·log n) either way). Key homing is by
 	// hash, so lookup results are identical at any shard count. Mutually
-	// exclusive with Domains (federation already shards per domain) and with
-	// DynamicJoin. 0 or 1 builds the single flat ring, byte-identical to
-	// pre-sharding clusters.
+	// exclusive with Domains (federation already shards per domain). 0 or 1
+	// builds the single flat ring, byte-identical to pre-sharding clusters.
 	Shards int
 	// Domains, when non-nil, federates the deployment: peers are partitioned
 	// into administrative domains per the spec, each domain gets its own DHT
@@ -73,18 +71,9 @@ type Options struct {
 	// default) builds the flat single-overlay deployment, byte-identical to
 	// clusters built before federation existed.
 	Domains *federation.Spec
-	// Federation overrides the federation protocol timers (the spec's
-	// hold/life keys still win). Zero fields take federation defaults.
-	Federation federation.Config
 	// Recovery, when non-nil, attaches a failure-recovery manager to every
 	// peer.
 	Recovery *recovery.Config
-	// TrustAware attaches a trust manager to every peer, wires it into BCP
-	// next-hop selection (threshold MinTrust) and, when recovery is on,
-	// into session-outcome reporting.
-	TrustAware bool
-	// MinTrust is the exclusion threshold for TrustAware (default 0.2).
-	MinTrust float64
 	// Trace, when non-nil, receives structured events from every layer
 	// (network, DHT, BCP, recovery). Deterministic per seed.
 	Trace obs.Tracer
@@ -117,7 +106,6 @@ type Peer struct {
 	Registry   *registry.Registry
 	Engine     *bcp.Engine
 	Recovery   *recovery.Manager
-	Trust      *trust.Manager
 	Media      *media.Node
 	Components []service.Component
 	FailProb   float64
@@ -175,14 +163,8 @@ func (o *Options) withDefaults() Options {
 		v.Capacity[qos.CPU] = 20
 		v.Capacity[qos.Memory] = 200
 	}
-	if v.QpDelayMax == 0 {
-		v.QpDelayMin, v.QpDelayMax = 5, 30
-	}
 	if v.QpLossMax == 0 {
 		v.QpLossMax = 0.004
-	}
-	if v.FailProbMax == 0 {
-		v.FailProbMax = 0.05
 	}
 	if v.BCP == (bcp.Config{}) {
 		v.BCP = bcp.DefaultConfig()
@@ -211,16 +193,13 @@ func New(opts Options) *Cluster {
 			panic(fmt.Sprintf("cluster: catalogue of %d functions cannot shard across %d domains",
 				len(o.Catalog), plan.NumDomains))
 		}
-		fcfg = o.Federation.Apply(o.Domains)
+		fcfg = federation.DefaultConfig().Apply(o.Domains)
 		o.BCP.CommitTTL = fcfg.CommitTTL()
 	}
 	var splan *registry.ShardPlan
 	if o.Shards > 1 {
 		if o.Domains != nil {
 			panic("cluster: Shards and Domains are mutually exclusive (federation shards per domain)")
-		}
-		if o.DynamicJoin {
-			panic("cluster: Shards does not support DynamicJoin")
 		}
 		splan = registry.NewShardPlan(o.Peers, o.Shards)
 	}
@@ -243,7 +222,6 @@ func New(opts Options) *Cluster {
 	}
 
 	c := &Cluster{Sim: sim, Net: net, IP: ip, Overlay: ov, Rng: rng, opts: o}
-	oracle := &overlayOracle{ov: ov}
 
 	if o.Load != nil {
 		o.BCP.LoadAware = o.Load.Aware
@@ -265,24 +243,15 @@ func New(opts Options) *Cluster {
 		}
 	}
 
-	dhtNodes := make([]*dht.Node, o.Peers)
 	for i := 0; i < o.Peers; i++ {
-		host := net.AddNode(p2p.NodeID(i))
-		ledger := qos.NewLedger(o.Capacity)
-		dn := dht.New(host, net.Alive)
-		var reg *registry.Registry
-		if splan != nil {
-			reg = registry.NewSharded(dn, splan)
-		} else {
-			reg = registry.New(dn)
-		}
-		failProb := rng.Float64() * o.FailProbMax
+		id := p2p.NodeID(i)
+		failProb := rng.Float64() * failProbMax
 
 		// A federated peer draws its components from its domain's catalogue
 		// shard, so every function is provided by exactly one domain.
 		catalog := o.Catalog
 		if plan != nil {
-			catalog = plan.CatalogFor(plan.DomainOf(p2p.NodeID(i)), o.Catalog)
+			catalog = plan.CatalogFor(plan.DomainOf(id), o.Catalog)
 		}
 		ncomps := o.MinComps + rng.Intn(o.MaxComps-o.MinComps+1)
 		comps := make([]service.Component, 0, ncomps)
@@ -293,101 +262,36 @@ func New(opts Options) *Cluster {
 				continue // a peer provides each function at most once
 			}
 			used[fn] = true
-			var qp qos.Vector
-			qp[qos.Delay] = o.QpDelayMin + rng.Float64()*(o.QpDelayMax-o.QpDelayMin)
-			qp[qos.Loss] = qos.LossToAdditive(rng.Float64() * o.QpLossMax)
-			var res qos.Resources
-			res[qos.CPU] = 1
-			res[qos.Memory] = 10
-			comps = append(comps, service.Component{
-				ID:       fmt.Sprintf("p%d/%s.%d", i, fn, k),
-				Function: fn,
-				Peer:     p2p.NodeID(i),
-				Qp:       qp,
-				Res:      res,
-				FailProb: failProb,
-			})
+			comps = append(comps, c.component(id, fn, k, failProb))
 		}
-		eng := bcp.NewEngine(host, ledger, reg, oracle, comps, o.BCP)
-		if o.Load != nil {
-			eng.Load = loadOracle{c}
-		}
-		eng.Trace = o.Trace
-		dn.Trace = o.Trace
-		eng.Met = o.Metrics
-		dn.Met = o.Metrics
-		if o.Obs != nil {
-			eng.Ctr = o.Obs.Node(host.ID())
-			dn.Ctr = eng.Ctr
-		}
-		var rec *recovery.Manager
-		if o.Recovery != nil {
-			rec = recovery.NewManager(eng, *o.Recovery)
-			rec.Trace = o.Trace
-			rec.Met = o.Metrics
-		}
-		var tm *trust.Manager
-		if o.TrustAware {
-			tm = trust.NewManager(host, dn, trust.DefaultConfig())
-			eng.Trust = tm
-			minTrust := o.MinTrust
-			if minTrust == 0 {
-				minTrust = 0.2
-			}
-			eng.MinTrust = minTrust
-			if rec != nil {
-				rec.Trust = tm
-			}
-		}
-		med := media.Attach(host, eng.LocalComponent)
-		c.Peers = append(c.Peers, &Peer{
-			Node: host, Ledger: ledger, DHT: dn, Registry: reg,
-			Engine: eng, Recovery: rec, Trust: tm, Media: med, Components: comps, FailProb: failProb,
-		})
-		dhtNodes[i] = dn
+		c.addPeer(id, comps, failProb, splan)
 	}
 
+	// One DHT ring per federation domain or keyspace shard, else one flat
+	// ring. Ring members never reference each other across rings, so every
+	// ring owns a disjoint keyspace and its members' state is bounded by the
+	// ring size; a domain ring also keeps service registrations within its
+	// domain. The sorted-ring build is O(n·log n), so S rings of size
+	// peers/S cost about the same as one flat build.
+	var rings [][]p2p.NodeID
 	switch {
-	case plan != nil && o.DynamicJoin:
-		// Serial joins bootstrap within the domain, so each domain grows its
-		// own ring.
-		for _, members := range plan.Members {
-			for i := 1; i < len(members); i++ {
-				dhtNodes[members[i]].Join(members[rng.Intn(i)])
-				sim.RunUntilIdle()
-			}
-		}
 	case plan != nil:
-		// One DHT ring per domain: the member subsets never reference each
-		// other, so every domain owns a disjoint keyspace shard and service
-		// registrations stay within their domain.
-		for _, members := range plan.Members {
-			ring := make([]*dht.Node, len(members))
-			for i, id := range members {
-				ring[i] = dhtNodes[id]
-			}
-			dht.Build(ring)
-		}
-	case o.DynamicJoin:
-		for i := 1; i < o.Peers; i++ {
-			dhtNodes[i].Join(p2p.NodeID(rng.Intn(i)))
-			sim.RunUntilIdle()
-		}
+		rings = plan.Members
 	case splan != nil:
-		// One DHT ring per keyspace shard: each ring's members only ever
-		// learn each other. The sorted-ring build is O(n·log n), so running
-		// it S times over rings of size peers/S costs about the same as one
-		// flat build — sharding here buys bounded per-ring state and local
-		// maintenance traffic, not construction time.
-		for _, members := range splan.Members {
-			ring := make([]*dht.Node, len(members))
-			for i, id := range members {
-				ring[i] = dhtNodes[id]
-			}
-			dht.Build(ring)
-		}
+		rings = splan.Members
 	default:
-		dht.Build(dhtNodes)
+		all := make([]p2p.NodeID, o.Peers)
+		for i := range all {
+			all[i] = p2p.NodeID(i)
+		}
+		rings = [][]p2p.NodeID{all}
+	}
+	for _, members := range rings {
+		ring := make([]*dht.Node, len(members))
+		for i, id := range members {
+			ring[i] = c.Peers[id].DHT
+		}
+		dht.Build(ring)
 	}
 
 	// Register every component and let the puts settle.
@@ -452,60 +356,83 @@ func (c *Cluster) Join(components []string, bootstrap p2p.NodeID) *Peer {
 		ip = c.Rng.Intn(c.IP.N())
 	}
 	c.Overlay.AddPeer(c.IP, ip, 4, c.Rng)
-	host := c.Net.AddNode(id)
-	ledger := qos.NewLedger(c.opts.Capacity)
-	dn := dht.New(host, c.Net.Alive)
-	reg := registry.New(dn)
-
 	comps := make([]service.Component, 0, len(components))
 	for k, fn := range components {
-		var qp qos.Vector
-		qp[qos.Delay] = c.opts.QpDelayMin + c.Rng.Float64()*(c.opts.QpDelayMax-c.opts.QpDelayMin)
-		qp[qos.Loss] = qos.LossToAdditive(c.Rng.Float64() * c.opts.QpLossMax)
-		var res qos.Resources
-		res[qos.CPU] = 1
-		res[qos.Memory] = 10
-		comps = append(comps, service.Component{
-			ID:       fmt.Sprintf("p%d/%s.%d", int(id), fn, k),
-			Function: fn,
-			Peer:     id,
-			Qp:       qp,
-			Res:      res,
-		})
+		comps = append(comps, c.component(id, fn, k, 0))
 	}
-	eng := bcp.NewEngine(host, ledger, reg, c.Oracle(), comps, c.opts.BCP)
-	if c.opts.Load != nil {
+	// The newcomer keeps a flat registry: a shard plan covers only the peers
+	// New built.
+	p := c.addPeer(id, comps, 0, nil)
+
+	p.DHT.Join(bootstrap)
+	// Register services once the join has seeded the routing state; on the
+	// virtual clock one second is ample.
+	p.Node.After(time.Second, func() {
+		for _, comp := range comps {
+			p.Registry.Register(comp)
+		}
+	})
+	return p
+}
+
+// component draws the QoS of peer id's k-th component, which provides fn.
+func (c *Cluster) component(id p2p.NodeID, fn string, k int, failProb float64) service.Component {
+	var qp qos.Vector
+	qp[qos.Delay] = qpDelayMin + c.Rng.Float64()*(qpDelayMax-qpDelayMin)
+	qp[qos.Loss] = qos.LossToAdditive(c.Rng.Float64() * c.opts.QpLossMax)
+	var res qos.Resources
+	res[qos.CPU] = 1
+	res[qos.Memory] = 10
+	return service.Component{
+		ID:       fmt.Sprintf("p%d/%s.%d", int(id), fn, k),
+		Function: fn,
+		Peer:     id,
+		Qp:       qp,
+		Res:      res,
+		FailProb: failProb,
+	}
+}
+
+// addPeer builds peer id's protocol stack — network host, ledger, DHT node,
+// discovery registry (sharded when splan is set), BCP engine, recovery
+// manager and media node — wires the deployment's trace, counter, metrics
+// and load hooks into it, and appends it to c.Peers. The DHT node is left
+// unjoined: New builds the rings, Join bootstraps through a live peer.
+func (c *Cluster) addPeer(id p2p.NodeID, comps []service.Component, failProb float64, splan *registry.ShardPlan) *Peer {
+	o := c.opts
+	host := c.Net.AddNode(id)
+	ledger := qos.NewLedger(o.Capacity)
+	dn := dht.New(host, c.Net.Alive)
+	var reg *registry.Registry
+	if splan != nil {
+		reg = registry.NewSharded(dn, splan)
+	} else {
+		reg = registry.New(dn)
+	}
+	eng := bcp.NewEngine(host, ledger, reg, c.Oracle(), comps, o.BCP)
+	if o.Load != nil {
 		eng.Load = loadOracle{c}
 	}
-	eng.Trace = c.opts.Trace
-	dn.Trace = c.opts.Trace
-	eng.Met = c.opts.Metrics
-	dn.Met = c.opts.Metrics
-	if c.opts.Obs != nil {
-		eng.Ctr = c.opts.Obs.Node(host.ID())
+	eng.Trace = o.Trace
+	dn.Trace = o.Trace
+	eng.Met = o.Metrics
+	dn.Met = o.Metrics
+	if o.Obs != nil {
+		eng.Ctr = o.Obs.Node(id)
 		dn.Ctr = eng.Ctr
 	}
 	var rec *recovery.Manager
-	if c.opts.Recovery != nil {
-		rec = recovery.NewManager(eng, *c.opts.Recovery)
-		rec.Trace = c.opts.Trace
-		rec.Met = c.opts.Metrics
+	if o.Recovery != nil {
+		rec = recovery.NewManager(eng, *o.Recovery)
+		rec.Trace = o.Trace
+		rec.Met = o.Metrics
 	}
-	med := media.Attach(host, eng.LocalComponent)
 	p := &Peer{
 		Node: host, Ledger: ledger, DHT: dn, Registry: reg,
-		Engine: eng, Recovery: rec, Media: med, Components: comps,
+		Engine: eng, Recovery: rec, Media: media.Attach(host, eng.LocalComponent),
+		Components: comps, FailProb: failProb,
 	}
 	c.Peers = append(c.Peers, p)
-
-	dn.Join(bootstrap)
-	// Register services once the join has seeded the routing state; on the
-	// virtual clock one second is ample.
-	host.After(time.Second, func() {
-		for _, comp := range comps {
-			reg.Register(comp)
-		}
-	})
 	return p
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/fgraph"
 	"repro/internal/p2p"
 	"repro/internal/qos"
-	"repro/internal/recovery"
 	"repro/internal/service"
 )
 
@@ -65,65 +64,6 @@ func TestClusterDeterministicAcrossBuilds(t *testing.T) {
 				t.Fatalf("peer %d component %d differs", i, k)
 			}
 		}
-	}
-}
-
-// TestTrustAwareChurnIntegration runs the whole stack together: sessions
-// with proactive recovery under repeated failures of one specific peer;
-// the trust layer learns and later compositions exclude that peer.
-func TestTrustAwareChurnIntegration(t *testing.T) {
-	rc := recovery.DefaultConfig()
-	c := cluster.New(cluster.Options{
-		Seed: 7, Peers: 70, Catalog: catalog(4),
-		Recovery: &rc, TrustAware: true, MinTrust: 0.25,
-	})
-	fns := c.FunctionsByReplicas()
-	q := qos.Unbounded()
-	q[qos.Delay] = 8000
-	var res qos.Resources
-	res[qos.CPU] = 1
-	res[qos.Memory] = 10
-	src := 0
-	mk := func(id uint64) *service.Request {
-		return &service.Request{
-			ID: id, FGraph: fgraph.Linear(fns[0], fns[1]), QoSReq: q, Res: res,
-			Bandwidth: 10, FailReq: 0.02,
-			Source: p2p.NodeID(src), Dest: 1, Budget: 40,
-		}
-	}
-
-	// Establish a session; find a component peer, repeatedly crash it and
-	// bring it back so the session keeps recovering away from it.
-	var flaky p2p.NodeID = p2p.NoNode
-	sp := c.Peers[src]
-	sp.Engine.Compose(mk(1), func(r bcp.Result) {
-		if !r.Ok {
-			t.Fatal("composition failed")
-		}
-		sp.Recovery.Establish(mk(1), r)
-		for _, s := range r.Best.Comps {
-			if s.Comp.Peer != 0 && s.Comp.Peer != 1 {
-				flaky = s.Comp.Peer
-				break
-			}
-		}
-	})
-	c.Sim.Run(c.Sim.Now() + 30*time.Second)
-	if flaky == p2p.NoNode {
-		t.Skip("no component peer to make flaky")
-	}
-	for round := 0; round < 4; round++ {
-		c.Net.Fail(flaky)
-		c.Sim.Run(c.Sim.Now() + 30*time.Second)
-		c.Net.Recover(flaky)
-		c.Sim.Run(c.Sim.Now() + 10*time.Second)
-	}
-
-	if sp.Trust.Score(flaky) >= 0.5 {
-		t.Fatalf("trust score for flaky peer = %v, want below neutral", sp.Trust.Score(flaky))
-	}
-	if st := sp.Recovery.Stats(); st.FailuresDetected == 0 {
-		t.Fatal("recovery never engaged")
 	}
 }
 

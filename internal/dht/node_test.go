@@ -172,7 +172,7 @@ func TestGetTimeoutWhenIsolated(t *testing.T) {
 	}
 }
 
-func TestDynamicJoin(t *testing.T) {
+func TestJoinThroughBootstrap(t *testing.T) {
 	sim := simnet.NewSim()
 	nw := simnet.NewNetwork(sim, simnet.ConstantLatency(5*time.Millisecond), rand.New(rand.NewSource(2)))
 	var nodes []*Node

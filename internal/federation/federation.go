@@ -20,41 +20,38 @@ const (
 	MsgDecided   = "fed.decided"   // participant -> origin: decision applied
 )
 
-// Config tunes the federation protocol timers. The zero value of each field
-// takes the documented default.
+// Federation protocol timers every deployment uses.
+const (
+	// voteTimeout bounds the origin coordinator's wait for all votes;
+	// sub-compositions give up after bcp's 10s give-up timer, so this needs
+	// headroom above that.
+	voteTimeout = 12 * time.Second
+	// ackTimeout bounds the origin's wait for commit acknowledgements. A
+	// commit not fully acknowledged in time counts as a failed composition;
+	// already-committed segments still self-release at end of life.
+	ackTimeout = 5 * time.Second
+	// clientTimeout bounds a client's wait for any outcome — the backstop
+	// against a crashed or partitioned origin coordinator.
+	clientTimeout = 25 * time.Second
+)
+
+// Config holds the federation lease timers a Spec may override. The zero
+// value of each field takes the documented default.
 type Config struct {
 	// Hold is how long a prepared (held) reservation waits for the commit
 	// decision before presumed abort releases it (default 15s). It must
-	// exceed the origin's VoteTimeout plus decision latency, or healthy
-	// commits race the release.
+	// exceed the origin's vote timeout (12s) plus decision latency, or
+	// healthy commits race the release.
 	Hold time.Duration
-	// VoteTimeout bounds the origin coordinator's wait for all votes
-	// (default 12s; sub-compositions give up after bcp's GiveUpTimeout, so
-	// this needs headroom above that).
-	VoteTimeout time.Duration
-	// AckTimeout bounds the origin's wait for commit acknowledgements
-	// (default 5s). A commit not fully acknowledged in time counts as a
-	// failed composition; already-committed segments still self-release at
-	// end of life.
-	AckTimeout time.Duration
 	// Life is how long a committed cross-domain session holds its
 	// reservations before the holding gateways tear it down (default 30s).
 	// Committed sessions are bounded leases by construction.
 	Life time.Duration
-	// ClientTimeout bounds a client's wait for any outcome — the backstop
-	// against a crashed or partitioned origin coordinator (default 25s).
-	ClientTimeout time.Duration
 }
 
 // DefaultConfig returns the timer defaults.
 func DefaultConfig() Config {
-	return Config{
-		Hold:          15 * time.Second,
-		VoteTimeout:   12 * time.Second,
-		AckTimeout:    5 * time.Second,
-		Life:          30 * time.Second,
-		ClientTimeout: 25 * time.Second,
-	}
+	return Config{Hold: 15 * time.Second, Life: 30 * time.Second}
 }
 
 func (c Config) withDefaults() Config {
@@ -62,17 +59,8 @@ func (c Config) withDefaults() Config {
 	if c.Hold == 0 {
 		c.Hold = def.Hold
 	}
-	if c.VoteTimeout == 0 {
-		c.VoteTimeout = def.VoteTimeout
-	}
-	if c.AckTimeout == 0 {
-		c.AckTimeout = def.AckTimeout
-	}
 	if c.Life == 0 {
 		c.Life = def.Life
-	}
-	if c.ClientTimeout == 0 {
-		c.ClientTimeout = def.ClientTimeout
 	}
 	return c
 }
@@ -102,7 +90,7 @@ func (c Config) CommitTTL() time.Duration {
 // session end of life, and the TTL backstop all fire within this window.
 func (c Config) Drain() time.Duration {
 	c = c.withDefaults()
-	return c.ClientTimeout + c.CommitTTL() + 10*time.Second
+	return clientTimeout + c.CommitTTL() + 10*time.Second
 }
 
 // subIDBase namespaces sub-request IDs minted for per-domain segments above
@@ -197,7 +185,7 @@ func New(d Deployment) *Federation {
 // domain's coordinator.
 func (f *Federation) NewClient(host p2p.Node) *Client {
 	dom := f.Plan.DomainOf(host.ID())
-	cl := NewClient(host, f.Plan.Coordinator(dom), f.Cfg.ClientTimeout)
+	cl := NewClient(host, f.Plan.Coordinator(dom), clientTimeout)
 	cl.Trace = f.trace
 	return cl
 }

@@ -22,7 +22,7 @@ const reattemptShift = 40
 
 // scheduleProbes arms the periodic maintenance timer at the sender.
 func (m *Manager) scheduleProbes() {
-	m.probeTimer = m.host.After(m.cfg.ProbeInterval, func() {
+	m.probeTimer = m.host.After(probeInterval, func() {
 		m.probeTimer = nil
 		m.tick()
 		if len(m.sessions) > 0 {
@@ -73,7 +73,7 @@ func (m *Manager) probeGraph(s *Session, g *service.Graph) {
 		},
 	})
 	sess := s.ID
-	m.host.After(m.cfg.PongTimeout, func() {
+	m.host.After(pongTimeout, func() {
 		m.checkPong(sess, key, sentAt)
 	})
 }
@@ -117,7 +117,7 @@ func (m *Manager) onPong(_ p2p.Node, msg p2p.Message) {
 	}
 }
 
-// checkPong fires PongTimeout after a probe was sent: a missing pong means
+// checkPong fires pongTimeout after a probe was sent: a missing pong means
 // the probed graph is broken.
 func (m *Manager) checkPong(sessID uint64, graphKey string, sentAt time.Duration) {
 	s, ok := m.sessions[sessID]
@@ -166,7 +166,7 @@ func dropGraph(gs *[]*service.Graph, key string) {
 // activeFailed starts the recovery sequence for a broken session. The path
 // probe's silence says the graph is broken but not where, so the sender
 // first pings every component peer of the broken graph directly; the peers
-// that fail to answer within PingTimeout are the localized failure, and the
+// that fail to answer within pingTimeout are the localized failure, and the
 // switchover then skips backups that depend on them (the paper leaves the
 // failure-detection design open — §5 footnote 4).
 func (m *Manager) activeFailed(s *Session) {
@@ -224,7 +224,7 @@ func (m *Manager) ping(p p2p.NodeID, cb func(ok bool)) {
 		}
 	}
 	m.pingWait[id] = func() { once(true) }
-	m.host.After(m.cfg.PingTimeout, func() { once(false) })
+	m.host.After(pingTimeout, func() { once(false) })
 	m.host.Send(p2p.Message{Type: MsgPing, To: p, Size: 16, Payload: pingMsg{ID: id, Origin: m.host.ID()}})
 }
 
@@ -296,7 +296,6 @@ func (m *Manager) tryRecovery(s *Session, dead map[p2p.NodeID]bool) {
 			delete(s.missed, cand.Key())
 			m.stats.ComponentsReplaced += len(old.Comps) - cand.Overlap(old)
 			m.allocIngress(s)
-			m.reportDropped(old, cand)
 			m.eng.TeardownExcept(old, cand)
 			s.awaitingFix = false
 			m.record(s, EventSwitchover)
@@ -335,7 +334,6 @@ func (m *Manager) reactive(s *Session) {
 		s.lastPong = map[string]time.Duration{res.Best.Key(): m.host.Now()}
 		s.missed = make(map[string]int)
 		m.stats.ComponentsReplaced += len(old.Comps) - res.Best.Overlap(old)
-		m.reportDropped(old, res.Best)
 		m.eng.TeardownExcept(old, res.Best)
 		s.awaitingFix = false
 		m.record(s, EventReactive)
@@ -343,19 +341,6 @@ func (m *Manager) reactive(s *Session) {
 			m.refreshBackups(s)
 		}
 	})
-}
-
-// reportDropped feeds the trust reporter: peers the recovery had to drop
-// (in the broken graph but not the replacement) are negative evidence.
-func (m *Manager) reportDropped(old, replacement *service.Graph) {
-	if m.Trust == nil {
-		return
-	}
-	for _, comp := range old.Components() {
-		if !replacement.ContainsPeer(comp.Peer) {
-			m.Trust.RecordFailure(comp.Peer)
-		}
-	}
 }
 
 // allocIngress admits the sender's ingress links to the (new) active
@@ -421,7 +406,7 @@ func (m *Manager) attemptSetup(g *service.Graph, cb func(ok bool)) {
 		}
 	}
 	m.setupWait[id] = once
-	m.host.After(m.cfg.SetupTimeout, func() { once(false) })
+	m.host.After(setupTimeout, func() { once(false) })
 
 	order := reverseTopoOrder(g)
 	m.host.Send(p2p.Message{

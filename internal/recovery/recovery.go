@@ -28,18 +28,22 @@ const (
 	MsgSetupFail = "rec.setupfail" // switchover rejection
 )
 
+// Recovery timers every deployment uses.
+const (
+	// probeInterval is the period of the low-rate maintenance probes.
+	probeInterval = 2 * time.Second
+	// pongTimeout is how long the source waits for a path probe to return
+	// before declaring the probed graph failed.
+	pongTimeout = 1500 * time.Millisecond
+	// setupTimeout bounds one switchover attempt.
+	setupTimeout = 3 * time.Second
+	// pingTimeout bounds the per-peer liveness check that localizes a
+	// failure before switchover.
+	pingTimeout = 400 * time.Millisecond
+)
+
 // Config tunes the recovery manager.
 type Config struct {
-	// ProbeInterval is the period of the low-rate maintenance probes.
-	ProbeInterval time.Duration
-	// PongTimeout is how long the source waits for a path probe to return
-	// before declaring the probed graph failed.
-	PongTimeout time.Duration
-	// SetupTimeout bounds one switchover attempt.
-	SetupTimeout time.Duration
-	// PingTimeout bounds the per-peer liveness check that localizes a
-	// failure before switchover.
-	PingTimeout time.Duration
 	// MissedPongs is how many consecutive path probes must go unanswered
 	// before a graph is declared failed. 1 (the default) reacts to the
 	// first silence; lossy networks raise it so a single dropped probe or
@@ -64,15 +68,11 @@ type Config struct {
 // DefaultConfig returns the settings used by the experiments.
 func DefaultConfig() Config {
 	return Config{
-		ProbeInterval: 2 * time.Second,
-		PongTimeout:   1500 * time.Millisecond,
-		SetupTimeout:  3 * time.Second,
-		PingTimeout:   400 * time.Millisecond,
-		MissedPongs:   1,
-		U:             2.0,
-		MaxBackups:    5,
-		Proactive:     true,
-		Reactive:      true,
+		MissedPongs: 1,
+		U:           2.0,
+		MaxBackups:  5,
+		Proactive:   true,
+		Reactive:    true,
 	}
 }
 
@@ -152,24 +152,12 @@ type Session struct {
 	reattempt   int
 }
 
-// TrustReporter receives first-hand session outcomes per peer; implemented
-// by internal/trust.Manager. Optional.
-type TrustReporter interface {
-	RecordSuccess(p p2p.NodeID)
-	RecordFailure(p p2p.NodeID)
-}
-
 // Manager runs on every peer: on component hosts it answers maintenance
 // probes and switchover setups; on senders it owns the sessions.
 type Manager struct {
 	eng  *bcp.Engine
 	host p2p.Node
 	cfg  Config
-
-	// Trust, when set, receives session outcomes: peers dropped during a
-	// recovery are reported as failures, peers of a session closed in good
-	// standing as successes.
-	Trust TrustReporter
 
 	// Trace receives recovery lifecycle events when non-nil.
 	Trace obs.Tracer
@@ -291,20 +279,13 @@ func (m *Manager) Establish(req *service.Request, res bcp.Result) *Session {
 	return s
 }
 
-// Close tears a session down and releases its resources. The hosting peers
-// served the session to completion, which counts as positive trust
-// evidence.
+// Close tears a session down and releases its resources.
 func (m *Manager) Close(id uint64) {
 	s, ok := m.sessions[id]
 	if !ok || !s.alive {
 		return
 	}
 	s.alive = false
-	if m.Trust != nil {
-		for _, comp := range s.Active.Components() {
-			m.Trust.RecordSuccess(comp.Peer)
-		}
-	}
 	if m.Met != nil {
 		m.Met.ActiveSessions.Add(-1)
 	}

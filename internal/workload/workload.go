@@ -26,12 +26,8 @@ type Config struct {
 	Budget int // probing budget β (default 16)
 
 	// DelayReqMin/Max bound the sampled end-to-end delay requirement in ms
-	// (default 800..3000).
+	// (default 800..3000). Loss is left unconstrained.
 	DelayReqMin, DelayReqMax float64
-	// LossReqMax, when positive, samples an end-to-end loss-rate
-	// requirement from [LossReqMax/2, LossReqMax). Zero leaves loss
-	// unconstrained.
-	LossReqMax float64
 	// BandwidthMin/Max bound the sampled bandwidth requirement in kbps
 	// (default 50..300).
 	BandwidthMin, BandwidthMax float64
@@ -139,10 +135,6 @@ func (g *Generator) NextAt(at time.Duration) *service.Request {
 
 	q := qos.Unbounded()
 	q[qos.Delay] = c.DelayReqMin + g.rng.Float64()*(c.DelayReqMax-c.DelayReqMin)
-	if c.LossReqMax > 0 {
-		p := c.LossReqMax/2 + g.rng.Float64()*c.LossReqMax/2
-		q[qos.Loss] = qos.LossToAdditive(p)
-	}
 
 	return &service.Request{
 		ID:        g.nextID,

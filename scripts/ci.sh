@@ -9,6 +9,16 @@ cd "$(dirname "$0")/.."
 echo "== go vet ./..."
 go vet ./...
 
+# Format gate: every Go file in the checkout, the nested e2ebench module
+# included, must be gofmt-clean. The benchmark's build directory is skipped.
+echo "== gofmt -l"
+unformatted="$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)"
+if [ -n "$unformatted" ]; then
+    echo "gofmt: files need formatting:"
+    echo "$unformatted"
+    exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
