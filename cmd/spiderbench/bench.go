@@ -12,6 +12,7 @@ import (
 	"repro/internal/bcp"
 	"repro/internal/cluster"
 	"repro/internal/dht"
+	"repro/internal/fgraph"
 	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/qos"
@@ -60,6 +61,7 @@ func runBench(dir string) error {
 		{"overlay/route", benchOverlayRoute},
 		{"overlay/routeevict", benchRouteCacheEvict},
 		{"service/cost", benchCost},
+		{"service/key", benchKey},
 		{"sim/dispatch", benchSimDispatch},
 		{"topology/generate", benchTopologyGenerate},
 		{"topology/generate100k", benchTopologyGenerate100k},
@@ -225,6 +227,25 @@ func benchCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if c := g.Cost(w, req); c <= 0 {
 			b.Fatal("bad cost")
+		}
+	}
+}
+
+// benchKey measures Graph.Key on a four-function chain, the signature the
+// recovery monitor and candidate selection compare graphs by.
+func benchKey(b *testing.B) {
+	fns := []string{"fn3", "fn17", "fn8", "fn21"}
+	g := &service.Graph{Pattern: fgraph.Linear(fns...), Comps: map[int]service.Snapshot{}}
+	for i, fn := range fns {
+		g.Comps[i] = service.Snapshot{Comp: service.Component{
+			ID: fmt.Sprintf("p%d/%s.0", 40+i*37, fn), Function: fn, Peer: p2p.NodeID(40 + i*37),
+		}}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(g.Key()) == 0 {
+			b.Fatal("empty key")
 		}
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"repro/internal/experiment"
@@ -50,35 +49,16 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stop, err := obs.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "profile: %v\n", err)
+		os.Exit(1)
 	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			}
-		}()
-	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintf(os.Stderr, "profile: %v\n", err)
+		}
+	}()
 
 	var fspec *simnet.FaultSpec
 	if *faults != "" {

@@ -47,7 +47,7 @@ func main() {
 
 // run parses args as spidersim's command line and runs it, writing reports
 // to stdout and diagnostics to os.Stderr.
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("spidersim", flag.ExitOnError)
 	var (
 		seed      = fs.Int64("seed", 1, "simulation seed")
@@ -73,8 +73,20 @@ func run(args []string, stdout io.Writer) error {
 		stats     = fs.Bool("stats", false, "print per-layer counter tables, histograms, and a trace summary")
 		summarize = fs.String("summarize", "", "summarize an existing JSONL trace file and exit")
 		check     = fs.Bool("check", false, "verify trace invariants: on the given trace files, or on this run")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits with status 2 inside Parse
+
+	stop, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stop(); err == nil {
+			err = perr
+		}
+	}()
 
 	if *summarize != "" {
 		return summarizeTrace(stdout, *summarize)

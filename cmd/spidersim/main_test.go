@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -99,6 +100,74 @@ func TestFlagErrors(t *testing.T) {
 	} {
 		if err := run(args, new(bytes.Buffer)); err == nil {
 			t.Errorf("spidersim %s: no error", strings.Join(args, " "))
+		}
+	}
+}
+
+// churnDupArgs is a small churned world on a wire that loses and duplicates
+// messages: recovery probes, pongs and switchover setups all run under
+// duplication, so every probe copy must carry its own progress.
+var churnDupArgs = []string{"-seed", "3", "-ipnodes", "400", "-peers", "60", "-requests", "100",
+	"-duration", "3m", "-churn", "0.02", "-faults", "dup=0.05,loss=0.1,seed=3", "-check"}
+
+// churnDupTable is churnDupArgs' report, recorded before the recovery
+// monitor shared one probe header between duplicated probe copies.
+const churnDupTable = `# spidersim: 60 peers on 400 IP nodes, 100 requests, budget 20
+metric                value
+success ratio         0.667
+hung compositions     0
+avg setup time        3828.3ms
+avg discovery time    920.3ms
+messages sent         47325
+bytes sent            3589968
+probes sent           3164
+failures detected     79
+switchovers           58
+reactive recoveries   21
+unrecovered failures  7
+`
+
+// TestChurnDupDeterministic runs the churned, duplicating world twice with
+// -check: both runs must pass the invariant checker, write byte-identical
+// traces, and print the recorded report.
+func TestChurnDupDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	var traces [2][]byte
+	for i := range traces {
+		path := filepath.Join(dir, fmt.Sprintf("run%d.jsonl", i))
+		out := runOut(t, append(churnDupArgs, "-trace", path)...)
+		if out != churnDupTable {
+			t.Fatalf("run %d report:\n%s\nwant:\n%s", i, out, churnDupTable)
+		}
+		var err error
+		if traces[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(traces[0], traces[1]) {
+		t.Fatal("two runs of the same seed and fault spec wrote different traces")
+	}
+	if !bytes.Contains(traces[0], []byte(`"rec.probe"`)) || !bytes.Contains(traces[0], []byte(`"dup"`)) {
+		t.Fatal("trace lacks recovery probes or duplicated messages")
+	}
+}
+
+// TestProfiles writes CPU and heap profiles and leaves the report unchanged.
+func TestProfiles(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-seed", "2", "-ipnodes", "300", "-peers", "30", "-functions", "8",
+		"-requests", "12", "-duration", "90s", "-churn", "0.05"}
+	plain := runOut(t, args...)
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	profiled := runOut(t, append(args, "-cpuprofile", cpu, "-memprofile", mem)...)
+	if profiled != plain {
+		t.Errorf("profiling changed the report:\n%s\nwithout profiling:\n%s", profiled, plain)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil {
+			t.Error(err)
+		} else if st.Size() == 0 {
+			t.Errorf("%s is empty", p)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Graph is an immutable function graph. Build one with a Builder or Linear.
@@ -249,35 +249,47 @@ func (g *Graph) Clone() *Graph {
 func (g *Graph) Equal(o *Graph) bool { return g.signature() == o.signature() }
 
 func (g *Graph) signature() string {
-	var b strings.Builder
+	var b []byte
 	for i, f := range g.fns {
-		fmt.Fprintf(&b, "%d:%s;", i, f)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, ':')
+		b = append(b, f...)
+		b = append(b, ';')
 	}
-	b.WriteByte('|')
+	b = append(b, '|')
 	for i := range g.succ {
 		for _, v := range g.succ[i] {
-			fmt.Fprintf(&b, "%d>%d;", i, v)
+			b = strconv.AppendInt(b, int64(i), 10)
+			b = append(b, '>')
+			b = strconv.AppendInt(b, int64(v), 10)
+			b = append(b, ';')
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // String renders the graph as "F1->F2 F1->F3 ..." with node names.
-func (g *Graph) String() string {
-	var b strings.Builder
+func (g *Graph) String() string { return string(g.AppendString(nil)) }
+
+// AppendString appends String's rendering to b and returns the extended
+// buffer, so callers building a larger key allocate once.
+func (g *Graph) AppendString(b []byte) []byte {
+	start := len(b)
 	for i := range g.succ {
 		for _, v := range g.succ[i] {
-			if b.Len() > 0 {
-				b.WriteByte(' ')
+			if len(b) > start {
+				b = append(b, ' ')
 			}
-			fmt.Fprintf(&b, "%s->%s", g.fns[i], g.fns[v])
+			b = append(b, g.fns[i]...)
+			b = append(b, "->"...)
+			b = append(b, g.fns[v]...)
 		}
 	}
-	if b.Len() == 0 {
+	if len(b) == start {
 		// single node, no edges
-		b.WriteString(g.fns[0])
+		b = append(b, g.fns[0]...)
 	}
-	return b.String()
+	return b
 }
 
 // swappable reports whether nodes a and b form a chain segment a->b with

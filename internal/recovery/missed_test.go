@@ -1,6 +1,8 @@
 package recovery_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -72,5 +74,70 @@ func TestDuplicatedControlTrafficHarmless(t *testing.T) {
 	}
 	if mgr.Session(req.ID) == nil {
 		t.Error("session died under duplication-only faults")
+	}
+}
+
+// TestProbeHeadersTrackMonitoredGraphs fails component peers one at a time
+// under duplicated traffic while four sessions are monitored, so backups
+// break, switchovers promote them and reactive re-compositions replace
+// whole pools. Throughout, a session holds probe headers only for its
+// active graph, backups and pool, each header's cached key and walk order
+// still match the graph (pongs rewrite the graph's snapshots after the
+// header is built), and closing a session clears its headers.
+func TestProbeHeadersTrackMonitoredGraphs(t *testing.T) {
+	c := newCluster(35, recovery.DefaultConfig())
+	var sessions []*recovery.Session
+	for id := uint64(1); id <= 4; id++ {
+		sessions = append(sessions, establish(t, c, makeReq(c, id, 3, 60)))
+	}
+	c.ApplyFaults(simnet.FaultPlan{Seed: 2, Default: simnet.LinkFaults{Dup: 0.2}})
+	mgr := c.Peers[0].Recovery
+
+	check := func(when string) {
+		t.Helper()
+		for _, s := range sessions {
+			if mgr.Session(s.ID) == nil {
+				continue
+			}
+			graphs := s.ProbeHeaderGraphs()
+			for _, g := range graphs {
+				if g != s.Active && !slices.Contains(s.Backups, g) && !slices.Contains(s.Pool, g) {
+					t.Fatalf("%s: session %d holds a header for a graph it no longer monitors", when, s.ID)
+				}
+				if key, order := s.ProbeHeader(g); key != g.Key() || !slices.Equal(order, g.Pattern.TopoOrder()) {
+					t.Fatalf("%s: session %d header is stale: key %q vs %q", when, s.ID, key, g.Key())
+				}
+			}
+			if len(graphs) == 0 {
+				t.Fatalf("%s: live session %d holds no probe header", when, s.ID)
+			}
+		}
+	}
+	check("before failures")
+	for round := 0; round < 6; round++ {
+		for _, s := range sessions {
+			if mgr.Session(s.ID) == nil {
+				continue
+			}
+			for _, snap := range s.Active.Components() {
+				if snap.Peer > 1 && c.Net.Alive(snap.Peer) {
+					c.Net.Fail(snap.Peer)
+					break
+				}
+			}
+			break
+		}
+		c.Sim.Run(c.Sim.Now() + 15*time.Second)
+		check(fmt.Sprintf("round %d", round))
+	}
+	st := mgr.Stats()
+	if st.FailuresDetected == 0 || st.Switchovers+st.Reactives == 0 {
+		t.Fatalf("no failure was detected and repaired: %+v", st)
+	}
+	for _, s := range sessions {
+		mgr.Close(s.ID)
+		if n := len(s.ProbeHeaderGraphs()); n != 0 {
+			t.Errorf("closed session %d still holds %d probe headers", s.ID, n)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -58,73 +59,78 @@ func (m *Manager) tick() {
 }
 
 func (m *Manager) probeGraph(s *Session, g *service.Graph) {
-	order := g.Pattern.TopoOrder()
-	key := g.Key()
+	h, ok := s.probes[g]
+	if !ok {
+		h = &probeHeader{sess: s.ID, key: g.Key(), graph: g, order: g.Pattern.TopoOrder(), origin: m.host.ID()}
+		s.probes[g] = h
+	}
 	sentAt := m.host.Now()
-	first := g.Comps[order[0]].Comp.Peer
+	first := g.Comps[h.order[0]].Comp.Peer
 	if m.Trace != nil {
 		m.Trace.Emit(obs.RecProbe(sentAt, m.host.ID(), s.ID, first))
 	}
-	m.host.Send(p2p.Message{
-		Type: MsgProbe, To: first, Size: probeMsgSize,
-		Payload: probeMsg{
-			SessID: s.ID, GraphKey: key, Graph: g, Order: order,
-			Origin: m.host.ID(),
-		},
-	})
-	sess := s.ID
+	m.host.Send(p2p.Message{Type: MsgProbe, To: first, Size: probeMsgSize, Payload: probeMsg{hdr: h}})
 	m.host.After(pongTimeout, func() {
-		m.checkPong(sess, key, sentAt)
+		m.checkPong(h, sentAt)
 	})
+}
+
+// keyOf returns g's key, from its probe header once s has probed g.
+func keyOf(s *Session, g *service.Graph) string {
+	if h, ok := s.probes[g]; ok {
+		return h.key
+	}
+	return g.Key()
 }
 
 // onProbe runs on a component host: confirm the component is still here,
 // append a fresh availability snapshot, and forward (or bounce the pong).
 func (m *Manager) onProbe(_ p2p.Node, msg p2p.Message) {
 	pm := msg.Payload.(probeMsg)
-	fn := pm.Order[pm.Pos]
-	snap := pm.Graph.Comps[fn]
+	h := pm.hdr
+	snap := h.graph.Comps[h.order[pm.pos]]
 	comp, hosted := m.eng.LocalComponent(snap.Comp.ID)
 	if !hosted {
 		return // component gone: probe dies, source times out
 	}
-	pm.Avail = append(pm.Avail, service.Snapshot{Comp: comp, Avail: m.eng.Ledger().AvailableHard()})
-	pm.Pos++
-	if pm.Pos < len(pm.Order) {
-		next := pm.Graph.Comps[pm.Order[pm.Pos]].Comp.Peer
+	pm.avail = append(pm.avail, service.Snapshot{Comp: comp, Avail: m.eng.Ledger().AvailableHard()})
+	pm.pos++
+	if pm.pos < len(h.order) {
+		next := h.graph.Comps[h.order[pm.pos]].Comp.Peer
 		m.host.Send(p2p.Message{Type: MsgProbe, To: next, Size: probeMsgSize, Payload: pm})
 		return
 	}
-	m.host.Send(p2p.Message{Type: MsgPong, To: pm.Origin, Size: probeMsgSize, Payload: pm})
+	m.host.Send(p2p.Message{Type: MsgPong, To: h.origin, Size: probeMsgSize, Payload: pm})
 }
 
 // onPong refreshes the graph's liveness timestamp and resource snapshots at
 // the sender.
 func (m *Manager) onPong(_ p2p.Node, msg p2p.Message) {
 	pm := msg.Payload.(probeMsg)
-	s, ok := m.sessions[pm.SessID]
+	h := pm.hdr
+	s, ok := m.sessions[h.sess]
 	if !ok || !s.alive {
 		return
 	}
-	s.lastPong[pm.GraphKey] = m.host.Now()
-	delete(s.missed, pm.GraphKey)
+	s.lastPong[h.key] = m.host.Now()
+	delete(s.missed, h.key)
 	// Fold the fresh availability snapshots back into the graph so backup
 	// qualification stays current.
-	for i, fn := range pm.Order {
-		if i < len(pm.Avail) {
-			pm.Graph.Comps[fn] = pm.Avail[i]
+	for i, fn := range h.order {
+		if i < len(pm.avail) {
+			h.graph.Comps[fn] = pm.avail[i]
 		}
 	}
 }
 
-// checkPong fires pongTimeout after a probe was sent: a missing pong means
-// the probed graph is broken.
-func (m *Manager) checkPong(sessID uint64, graphKey string, sentAt time.Duration) {
-	s, ok := m.sessions[sessID]
+// checkPong fires pongTimeout after the probe h describes was sent: a
+// missing pong means the probed graph is broken.
+func (m *Manager) checkPong(h *probeHeader, sentAt time.Duration) {
+	s, ok := m.sessions[h.sess]
 	if !ok || !s.alive || s.awaitingFix {
 		return
 	}
-	if last, ok := s.lastPong[graphKey]; ok && last >= sentAt {
+	if last, ok := s.lastPong[h.key]; ok && last >= sentAt {
 		return // pong arrived in time
 	}
 	// One silent probe is not yet a failure when MissedPongs > 1: on lossy
@@ -135,32 +141,46 @@ func (m *Manager) checkPong(sessID uint64, graphKey string, sentAt time.Duration
 	if need < 1 {
 		need = 1
 	}
-	s.missed[graphKey]++
-	if s.missed[graphKey] < need {
+	s.missed[h.key]++
+	if s.missed[h.key] < need {
 		return
 	}
-	delete(s.missed, graphKey)
-	if s.Active.Key() == graphKey {
+	delete(s.missed, h.key)
+	if keyOf(s, s.Active) == h.key {
 		m.activeFailed(s)
 		return
 	}
 	// A backup broke: drop it from the maintained set and the pool, then
 	// re-select.
-	dropGraph(&s.Backups, graphKey)
-	dropGraph(&s.Pool, graphKey)
+	dropGraph(s, h.key)
 	if m.cfg.Proactive {
 		m.refreshBackups(s)
 	}
 }
 
-func dropGraph(gs *[]*service.Graph, key string) {
-	out := (*gs)[:0]
-	for _, g := range *gs {
-		if g.Key() != key {
-			out = append(out, g)
+// dropGraph removes every graph with the given key from s's backups and
+// pool, then releases the probe headers of graphs no longer monitored.
+func dropGraph(s *Session, key string) {
+	for _, gs := range []*[]*service.Graph{&s.Backups, &s.Pool} {
+		out := (*gs)[:0]
+		for _, g := range *gs {
+			if keyOf(s, g) != key {
+				out = append(out, g)
+			}
+		}
+		*gs = out
+	}
+	releaseHeaders(s)
+}
+
+// releaseHeaders deletes the probe headers of graphs that are no longer the
+// active graph, a backup or in the pool.
+func releaseHeaders(s *Session) {
+	for g := range s.probes {
+		if g != s.Active && !slices.Contains(s.Backups, g) && !slices.Contains(s.Pool, g) {
+			delete(s.probes, g)
 		}
 	}
-	*gs = out
 }
 
 // activeFailed starts the recovery sequence for a broken session. The path
@@ -273,8 +293,7 @@ func (m *Manager) tryRecovery(s *Session, dead map[p2p.NodeID]bool) {
 			return s.Backups[i].Cost(m.eng.Weights, s.Req) < s.Backups[j].Cost(m.eng.Weights, s.Req)
 		})
 		cand := s.Backups[0]
-		dropGraph(&s.Backups, cand.Key())
-		dropGraph(&s.Pool, cand.Key())
+		dropGraph(s, keyOf(s, cand))
 		if usesDead(cand) {
 			// Every backup depends on a dead peer: go straight to reactive
 			// re-composition rather than paying doomed setup timeouts.
@@ -292,8 +311,10 @@ func (m *Manager) tryRecovery(s *Session, dead map[p2p.NodeID]bool) {
 			}
 			old := s.Active
 			s.Active = cand
-			s.lastPong[cand.Key()] = m.host.Now()
-			delete(s.missed, cand.Key())
+			releaseHeaders(s)
+			key := keyOf(s, cand)
+			s.lastPong[key] = m.host.Now()
+			delete(s.missed, key)
 			m.stats.ComponentsReplaced += len(old.Comps) - cand.Overlap(old)
 			m.allocIngress(s)
 			m.eng.TeardownExcept(old, cand)
@@ -331,6 +352,7 @@ func (m *Manager) reactive(s *Session) {
 		old := s.Active
 		s.Active = res.Best
 		s.Pool = append([]*service.Graph(nil), res.Backups...)
+		clear(s.probes)
 		s.lastPong = map[string]time.Duration{res.Best.Key(): m.host.Now()}
 		s.missed = make(map[string]int)
 		m.stats.ComponentsReplaced += len(old.Comps) - res.Best.Overlap(old)
@@ -360,6 +382,7 @@ func (m *Manager) kill(s *Session) {
 	}
 	m.record(s, EventDead)
 	m.eng.Teardown(s.Active)
+	clear(s.probes)
 	delete(m.sessions, s.ID)
 }
 

@@ -145,8 +145,9 @@ type Session struct {
 	Pool    []*service.Graph // remaining qualified graphs, backup candidates
 
 	alive       bool
-	lastPong    map[string]time.Duration // graph key -> last pong time
-	missed      map[string]int           // graph key -> consecutive missed pongs
+	lastPong    map[string]time.Duration        // graph key -> last pong time
+	missed      map[string]int                  // graph key -> consecutive missed pongs
+	probes      map[*service.Graph]*probeHeader // monitored graph -> its probe header
 	awaitingFix bool
 	brokenAt    time.Duration
 	reattempt   int
@@ -177,16 +178,26 @@ type Manager struct {
 	pingWait   map[uint64]func()
 }
 
+// probeHeader is what every maintenance probe of one (session, graph) pair
+// shares: built the first time the session probes the graph, and released
+// when the graph leaves the active graph, backups and pool, or the session
+// ends. It is never written after it is built, because the fault plane may
+// duplicate a probe in flight and every copy points at the same header.
+type probeHeader struct {
+	sess   uint64
+	key    string // graph.Key()
+	graph  *service.Graph
+	order  []int // graph.Pattern.TopoOrder(): the probe's walk
+	origin p2p.NodeID
+}
+
 // probeMsg walks a graph's components in topological order collecting fresh
-// availability, then bounces back to the origin as MsgPong.
+// availability, then bounces back to the origin as MsgPong. pos and avail
+// are this copy's own progress.
 type probeMsg struct {
-	SessID   uint64
-	GraphKey string
-	Graph    *service.Graph
-	Order    []int
-	Pos      int
-	Origin   p2p.NodeID
-	Avail    []service.Snapshot
+	hdr   *probeHeader
+	pos   int
+	avail []service.Snapshot
 }
 
 // setupMsg commits a backup graph hop by hop (reverse topological order),
@@ -262,6 +273,7 @@ func (m *Manager) Establish(req *service.Request, res bcp.Result) *Session {
 		alive:    true,
 		lastPong: make(map[string]time.Duration),
 		missed:   make(map[string]int),
+		probes:   make(map[*service.Graph]*probeHeader),
 	}
 	m.sessions[s.ID] = s
 	if m.cfg.Proactive {
@@ -290,6 +302,7 @@ func (m *Manager) Close(id uint64) {
 		m.Met.ActiveSessions.Add(-1)
 	}
 	m.eng.Teardown(s.Active)
+	clear(s.probes)
 	delete(m.sessions, id)
 }
 
@@ -343,15 +356,19 @@ func SelectBackups(active *service.Graph, pool []*service.Graph, gamma int, disj
 	sort.SliceStable(comps, func(i, j int) bool { return comps[i].FailProb > comps[j].FailProb })
 
 	chosen := make([]*service.Graph, 0, gamma)
+	keys := make([]string, len(pool))
+	for i, g := range pool {
+		keys[i] = g.Key()
+	}
 	used := make(map[string]bool)
 	pick := func(exclude ...string) {
 		if len(chosen) >= gamma {
 			return
 		}
-		var best *service.Graph
+		best := -1
 		bestOverlap := -1
-		for _, g := range pool {
-			if used[g.Key()] {
+		for i, g := range pool {
+			if used[keys[i]] {
 				continue
 			}
 			excluded := false
@@ -365,12 +382,12 @@ func SelectBackups(active *service.Graph, pool []*service.Graph, gamma int, disj
 				continue
 			}
 			if ov := g.Overlap(active); ov > bestOverlap {
-				best, bestOverlap = g, ov
+				best, bestOverlap = i, ov
 			}
 		}
-		if best != nil {
-			used[best.Key()] = true
-			chosen = append(chosen, best)
+		if best >= 0 {
+			used[keys[best]] = true
+			chosen = append(chosen, pool[best])
 		}
 	}
 	// Single-component failures, bottleneck first.

@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/fgraph"
 	"repro/internal/p2p"
@@ -183,29 +183,38 @@ type Graph struct {
 // the two orders of a commutation link) are distinct even with identical
 // assignments, because the execution order differs.
 func (g *Graph) Key() string {
-	idx := make([]int, 0, len(g.Comps))
-	for i := range g.Comps {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	var b strings.Builder
+	// Stack scratch: typical keys fit, so the returned string is the only
+	// allocation.
+	var idxBuf [16]int
+	var buf [256]byte
+	b := buf[:0]
 	if g.Pattern != nil {
-		b.WriteString(g.Pattern.String())
-		b.WriteByte('|')
+		b = g.Pattern.AppendString(b)
+		b = append(b, '|')
 	}
-	for _, i := range idx {
-		fmt.Fprintf(&b, "%d=%s;", i, g.Comps[i].Comp.ID)
+	for _, i := range g.fnOrder(idxBuf[:0]) {
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, '=')
+		b = append(b, g.Comps[i].Comp.ID...)
+		b = append(b, ';')
 	}
-	return b.String()
+	return string(b)
+}
+
+// fnOrder appends the assigned function indices to dst in ascending order.
+// Every rendering and float accumulation walks Comps in this order: map
+// iteration order would make them run-dependent.
+func (g *Graph) fnOrder(dst []int) []int {
+	for i := range g.Comps {
+		dst = append(dst, i)
+	}
+	sort.Ints(dst)
+	return dst
 }
 
 // Components returns the assigned components in function-index order.
 func (g *Graph) Components() []Component {
-	idx := make([]int, 0, len(g.Comps))
-	for i := range g.Comps {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
+	idx := g.fnOrder(make([]int, 0, len(g.Comps)))
 	out := make([]Component, len(idx))
 	for k, i := range idx {
 		out[k] = g.Comps[i].Comp
@@ -305,14 +314,8 @@ func (g *Graph) Qualified(req *Request) bool {
 func (g *Graph) Cost(w Weights, req *Request) float64 {
 	w = w.Normalize()
 	var cost float64
-	// Sorted function order keeps the float accumulation identical across
-	// runs (map iteration order would perturb the rounding).
-	idx := make([]int, 0, len(g.Comps))
-	for i := range g.Comps {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	for _, fn := range idx {
+	var idxBuf [16]int
+	for _, fn := range g.fnOrder(idxBuf[:0]) {
 		s := g.Comps[fn]
 		for i := range s.Avail {
 			if req.Res[i] == 0 {
@@ -337,17 +340,14 @@ func (g *Graph) Cost(w Weights, req *Request) float64 {
 
 // String renders the assignment compactly, e.g. "f0→p3/scale.0 f1→p9/tick.1".
 func (g *Graph) String() string {
-	idx := make([]int, 0, len(g.Comps))
-	for i := range g.Comps {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	var b strings.Builder
-	for k, i := range idx {
+	var b []byte
+	for k, i := range g.fnOrder(make([]int, 0, len(g.Comps))) {
 		if k > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		fmt.Fprintf(&b, "%s→%s", g.Pattern.Function(i), g.Comps[i].Comp.ID)
+		b = append(b, g.Pattern.Function(i)...)
+		b = append(b, "→"...)
+		b = append(b, g.Comps[i].Comp.ID...)
 	}
-	return b.String()
+	return string(b)
 }

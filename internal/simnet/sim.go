@@ -4,10 +4,7 @@
 // event-driven P2P overlay simulator.
 package simnet
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Sim is a discrete-event scheduler over a virtual clock. It is not safe for
 // concurrent use: everything runs in the single simulation goroutine, which
@@ -89,7 +86,7 @@ func (s *Sim) enqueue(d time.Duration) *event {
 	e.at = s.now + d
 	e.seq = s.seq
 	s.seq++
-	heap.Push(&s.events, e)
+	s.events.push(e)
 	return e
 }
 
@@ -100,7 +97,7 @@ func (s *Sim) cancel(e *event, gen uint64) {
 	if e.gen != gen || e.idx < 0 {
 		return
 	}
-	heap.Remove(&s.events, e.idx)
+	s.events.remove(e.idx)
 	s.recycle(e)
 }
 
@@ -120,7 +117,7 @@ func (s *Sim) Step() bool {
 	if len(s.events) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.events).(*event)
+	e := s.events.pop()
 	s.now = e.at
 	fn, call, arg := e.fn, e.call, e.arg
 	s.recycle(e)
@@ -139,7 +136,7 @@ func (s *Sim) Run(until time.Duration) {
 		if s.events[0].at > until {
 			break
 		}
-		e := heap.Pop(&s.events).(*event)
+		e := s.events.pop()
 		s.now = e.at
 		fn, call, arg := e.fn, e.call, e.arg
 		s.recycle(e)
@@ -161,31 +158,79 @@ func (s *Sim) RunUntilIdle() {
 	}
 }
 
+// eventHeap is a binary min-heap of events ordered by (at, seq), a total
+// order, so the pop sequence is fully determined by the pushes. Each event
+// records its slot in idx so remove can take it out of the middle.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
+
+func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].idx = i
 	h[j].idx = j
 }
-func (h *eventHeap) Push(x interface{}) {
-	e := x.(*event)
+
+func (h *eventHeap) push(e *event) {
 	e.idx = len(*h)
 	*h = append(*h, e)
+	h.up(e.idx)
 }
-func (h *eventHeap) Pop() interface{} {
+
+// pop removes and returns the earliest event. The heap must not be empty.
+func (h *eventHeap) pop() *event {
+	return h.remove(0)
+}
+
+// remove takes the event in slot i out of the heap and returns it.
+func (h *eventHeap) remove(i int) *event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	e := old[i]
+	old.swap(i, n)
+	old[n] = nil
+	*h = old[:n]
+	if i < n && !h.down(i) {
+		h.up(i)
+	}
 	e.idx = -1
-	*h = old[:n-1]
 	return e
+}
+
+func (h eventHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts slot i0 toward the leaves and reports whether it moved.
+func (h eventHeap) down(i0 int) bool {
+	n := len(h)
+	i := i0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		j := l
+		if r := l + 1; r < n && h.less(r, l) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
 }

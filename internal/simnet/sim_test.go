@@ -378,3 +378,132 @@ func TestCancelDuringDispatch(t *testing.T) {
 		t.Fatalf("clock=%v, want 5ms", s2.Now())
 	}
 }
+
+// TestEventQueueMatchesSortOrder is a differential test of the typed event
+// heap against the specification: at every step, the event that fires is
+// the pending one that sorts first by (at, seq). A random script
+// interleaves Schedule, ScheduleCall, Step, Run horizons, nested
+// scheduling from callbacks, and cancels aimed at the queue head, the queue
+// tail, a random pending event, and events that already fired or were
+// cancelled — whose structs the freelist has usually handed to a newer
+// event, so only the generation check keeps those cancels harmless.
+func TestEventQueueMatchesSortOrder(t *testing.T) {
+	type rec struct {
+		at      time.Duration
+		seq     uint64
+		cancel  func() // nil for ScheduleCall events
+		pending bool
+	}
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewSim()
+		var (
+			recs  []*rec
+			seq   uint64
+			fired []int // rec indices in firing order
+		)
+		var schedule func(nested bool)
+		fire := func(id int) {
+			fired = append(fired, id)
+			if rng.Intn(4) == 0 {
+				schedule(true)
+			}
+		}
+		call := func(arg any) { fire(arg.(int)) }
+		schedule = func(nested bool) {
+			d := time.Duration(rng.Intn(6)-1) * time.Millisecond // includes a negative delay
+			at := s.Now() + max(d, 0)
+			r := &rec{at: at, seq: seq, pending: true}
+			seq++
+			id := len(recs)
+			recs = append(recs, r)
+			if !nested && rng.Intn(3) == 0 {
+				s.ScheduleCall(d, call, id)
+				return
+			}
+			r.cancel = s.Schedule(d, func() { fire(id) })
+		}
+		// head and tail return the pending cancellable event that sorts
+		// first or last, or nil.
+		pick := func(last bool) *rec {
+			var best *rec
+			for _, r := range recs {
+				if !r.pending || r.cancel == nil {
+					continue
+				}
+				if best == nil || (r.at < best.at || r.at == best.at && r.seq < best.seq) != last {
+					best = r
+				}
+			}
+			return best
+		}
+		cancel := func(r *rec) {
+			if r == nil || r.cancel == nil {
+				return
+			}
+			r.cancel()
+			r.pending = false
+		}
+		// check replays the fired events since mark against the model: each
+		// must be the minimum of what was pending, and then leaves it.
+		check := func(mark int) {
+			t.Helper()
+			for _, id := range fired[mark:] {
+				var want *rec
+				wantID := -1
+				for i, r := range recs {
+					if r.pending && (want == nil || r.at < want.at || r.at == want.at && r.seq < want.seq) {
+						want, wantID = r, i
+					}
+				}
+				if id != wantID {
+					t.Fatalf("seed %d: event %d fired, want %d (the (at, seq) minimum)", seed, id, wantID)
+				}
+				want.pending = false
+			}
+		}
+		for op := 0; op < 600; op++ {
+			mark := len(fired)
+			switch k := rng.Intn(10); {
+			case k < 4:
+				schedule(false)
+			case k == 4:
+				cancel(pick(false))
+			case k == 5:
+				cancel(pick(true))
+			case k == 6:
+				if len(recs) > 0 {
+					r := recs[rng.Intn(len(recs))]
+					if r.cancel != nil {
+						r.cancel() // pending, fired or cancelled: all legal
+						r.pending = false
+					}
+				}
+			case k < 9:
+				s.Step()
+			default:
+				s.Run(s.Now() + time.Duration(rng.Intn(3))*time.Millisecond)
+			}
+			// Nested schedules inside callbacks append recs while the
+			// model catches up, so the check runs after the op.
+			check(mark)
+			want := 0
+			for _, r := range recs {
+				if r.pending {
+					want++
+				}
+			}
+			if s.Pending() != want {
+				t.Fatalf("seed %d op %d: Pending=%d, model has %d", seed, op, s.Pending(), want)
+			}
+		}
+		mark := len(fired)
+		s.RunUntilIdle()
+		check(mark)
+		for i, r := range recs {
+			if r.pending {
+				t.Fatalf("seed %d: event %d never fired", seed, i)
+			}
+		}
+	}
+}
