@@ -36,6 +36,17 @@ type Message struct {
 	UID uint64
 }
 
+// PayloadCloner is implemented by payloads that receivers mutate in place
+// and forward, such as a pointer to a hop-by-hop probe record. A runtime
+// that delivers one sent message more than once (simnet's duplication
+// fault) hands each extra copy the result of ClonePayload, so copies never
+// share progress. Payloads that receivers only read need not implement it.
+type PayloadCloner interface {
+	// ClonePayload returns a deep enough copy of the payload that mutating
+	// either one leaves the other unchanged.
+	ClonePayload() any
+}
+
 // Handler processes one received message on the destination node.
 // Handlers run single-threaded per node in both runtimes.
 type Handler func(n Node, msg Message)

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/bcp"
 	"repro/internal/obs"
 	"repro/internal/p2p"
+	"repro/internal/qos"
 	"repro/internal/service"
 )
 
@@ -69,7 +71,8 @@ func (m *Manager) probeGraph(s *Session, g *service.Graph) {
 	if m.Trace != nil {
 		m.Trace.Emit(obs.RecProbe(sentAt, m.host.ID(), s.ID, first))
 	}
-	m.host.Send(p2p.Message{Type: MsgProbe, To: first, Size: probeMsgSize, Payload: probeMsg{hdr: h}})
+	pm := &probeMsg{hdr: h, avail: make([]qos.Resources, 0, len(h.order))}
+	m.host.Send(p2p.Message{Type: MsgProbe, To: first, Size: probeMsgSize, Payload: pm})
 	m.host.After(pongTimeout, func() {
 		m.checkPong(h, sentAt)
 	})
@@ -86,14 +89,13 @@ func keyOf(s *Session, g *service.Graph) string {
 // onProbe runs on a component host: confirm the component is still here,
 // append a fresh availability snapshot, and forward (or bounce the pong).
 func (m *Manager) onProbe(_ p2p.Node, msg p2p.Message) {
-	pm := msg.Payload.(probeMsg)
+	pm := msg.Payload.(*probeMsg)
 	h := pm.hdr
-	snap := h.graph.Comps[h.order[pm.pos]]
-	comp, hosted := m.eng.LocalComponent(snap.Comp.ID)
-	if !hosted {
+	id := h.graph.Comps[h.order[pm.pos]].Comp.ID
+	if _, hosted := m.eng.LocalComponent(id); !hosted {
 		return // component gone: probe dies, source times out
 	}
-	pm.avail = append(pm.avail, service.Snapshot{Comp: comp, Avail: m.eng.Ledger().AvailableHard()})
+	pm.avail = append(pm.avail, m.eng.Ledger().AvailableHard())
 	pm.pos++
 	if pm.pos < len(h.order) {
 		next := h.graph.Comps[h.order[pm.pos]].Comp.Peer
@@ -104,30 +106,31 @@ func (m *Manager) onProbe(_ p2p.Node, msg p2p.Message) {
 }
 
 // onPong refreshes the graph's liveness timestamp and resource snapshots at
-// the sender.
+// the sender. A pong for a graph the session no longer monitors is ignored.
 func (m *Manager) onPong(_ p2p.Node, msg p2p.Message) {
-	pm := msg.Payload.(probeMsg)
+	pm := msg.Payload.(*probeMsg)
 	h := pm.hdr
 	s, ok := m.sessions[h.sess]
-	if !ok || !s.alive {
+	if !ok || !s.alive || s.probes[h.graph] != h {
 		return
 	}
 	s.lastPong[h.key] = m.host.Now()
 	delete(s.missed, h.key)
 	// Fold the fresh availability snapshots back into the graph so backup
-	// qualification stays current.
-	for i, fn := range h.order {
-		if i < len(pm.avail) {
-			h.graph.Comps[fn] = pm.avail[i]
-		}
+	// qualification stays current. A hosted component never changes, so
+	// the graph already holds the component each hop confirmed.
+	for i, avail := range pm.avail {
+		fn := h.order[i]
+		h.graph.Comps[fn] = service.Snapshot{Comp: h.graph.Comps[fn].Comp, Avail: avail}
 	}
 }
 
 // checkPong fires pongTimeout after the probe h describes was sent: a
-// missing pong means the probed graph is broken.
+// missing pong means the probed graph is broken. It does nothing once the
+// graph has stopped being monitored.
 func (m *Manager) checkPong(h *probeHeader, sentAt time.Duration) {
 	s, ok := m.sessions[h.sess]
-	if !ok || !s.alive || s.awaitingFix {
+	if !ok || !s.alive || s.awaitingFix || s.probes[h.graph] != h {
 		return
 	}
 	if last, ok := s.lastPong[h.key]; ok && last >= sentAt {
@@ -174,13 +177,28 @@ func dropGraph(s *Session, key string) {
 }
 
 // releaseHeaders deletes the probe headers of graphs that are no longer the
-// active graph, a backup or in the pool.
+// active graph, a backup or in the pool, and the pong bookkeeping of every
+// key that neither the active graph nor a remaining header carries.
 func releaseHeaders(s *Session) {
 	for g := range s.probes {
 		if g != s.Active && !slices.Contains(s.Backups, g) && !slices.Contains(s.Pool, g) {
 			delete(s.probes, g)
 		}
 	}
+	active := keyOf(s, s.Active)
+	stale := func(key string) bool {
+		if key == active {
+			return false
+		}
+		for _, h := range s.probes {
+			if h.key == key {
+				return false
+			}
+		}
+		return true
+	}
+	maps.DeleteFunc(s.lastPong, func(key string, _ time.Duration) bool { return stale(key) })
+	maps.DeleteFunc(s.missed, func(key string, _ int) bool { return stale(key) })
 }
 
 // activeFailed starts the recovery sequence for a broken session. The path

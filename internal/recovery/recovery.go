@@ -14,6 +14,7 @@ import (
 	"repro/internal/bcp"
 	"repro/internal/obs"
 	"repro/internal/p2p"
+	"repro/internal/qos"
 	"repro/internal/service"
 )
 
@@ -192,12 +193,23 @@ type probeHeader struct {
 }
 
 // probeMsg walks a graph's components in topological order collecting fresh
-// availability, then bounces back to the origin as MsgPong. pos and avail
-// are this copy's own progress.
+// availability, then bounces back to the origin as MsgPong. It travels by
+// pointer: each hop appends its host's availability to avail in place and
+// forwards the same record, whose avail was allocated once at its exact
+// final size. pos and avail are this copy's own progress, so a duplicated
+// copy gets its own record through ClonePayload.
 type probeMsg struct {
 	hdr   *probeHeader
 	pos   int
-	avail []service.Snapshot
+	avail []qos.Resources // avail[i]: hop i's host availability (AvailableHard)
+}
+
+// ClonePayload implements p2p.PayloadCloner: the clone owns a fresh avail
+// array, so neither copy's later appends reach the other.
+func (pm *probeMsg) ClonePayload() any {
+	avail := make([]qos.Resources, len(pm.avail), cap(pm.avail))
+	copy(avail, pm.avail)
+	return &probeMsg{hdr: pm.hdr, pos: pm.pos, avail: avail}
 }
 
 // setupMsg commits a backup graph hop by hop (reverse topological order),

@@ -31,7 +31,10 @@ type Stats struct {
 	Unhandled    int64 // delivered but no handler registered
 	Faulted      int64 // killed at send time by injected loss or partition
 	Duplicated   int64 // extra copies injected by duplication faults
-	ByType       map[string]int64
+	// ByType counts sends per message type; a type appears only once it
+	// has been sent (since the last ResetStats). Stats builds a fresh map
+	// on every call.
+	ByType map[string]int64
 }
 
 // Network is the simulated message-passing layer connecting simNodes. All
@@ -56,6 +59,13 @@ type Network struct {
 	faults  *faultState   // nil unless SetFaults installed a plan
 	proc    ProcDelayFunc // nil unless SetProcDelay installed a load model
 
+	// Message types are interned to dense IDs the first time a node
+	// registers a handler for one or sends one, so the per-send type count
+	// is a slice increment and handler dispatch compares integers.
+	typeIDs   map[string]int32
+	typeNames []string // type ID -> message type
+	sentBy    []int64  // type ID -> messages sent; folded into Stats.ByType
+
 	// Delivery records are pooled and dispatched through one long-lived
 	// ScheduleCall function, so a message in flight costs no allocation
 	// beyond its (recycled) record — the difference between an idle large
@@ -68,6 +78,7 @@ type Network struct {
 // scheduled deliver call.
 type delivery struct {
 	msg   p2p.Message
+	typ   int32 // interned msg.Type
 	epoch uint64
 	known bool
 }
@@ -86,16 +97,28 @@ func NewNetwork(sim *Sim, latency LatencyFunc, rng *rand.Rand) *Network {
 		sim:     sim,
 		rng:     rng,
 		latency: latency,
-		stats:   Stats{ByType: make(map[string]int64)},
+		typeIDs: make(map[string]int32),
 	}
 	nw.delFn = func(arg any) {
 		rec := arg.(*delivery)
-		msg, epoch, known := rec.msg, rec.epoch, rec.known
+		msg, typ, epoch, known := rec.msg, rec.typ, rec.epoch, rec.known
 		rec.msg = p2p.Message{} // drop payload references before pooling
 		nw.delPool = append(nw.delPool, rec)
-		nw.deliver(msg, epoch, known)
+		nw.deliver(msg, typ, epoch, known)
 	}
 	return nw
+}
+
+// typeID returns msgType's dense ID, assigning the next one on first use.
+func (nw *Network) typeID(msgType string) int32 {
+	if id, ok := nw.typeIDs[msgType]; ok {
+		return id
+	}
+	id := int32(len(nw.typeNames))
+	nw.typeIDs[msgType] = id
+	nw.typeNames = append(nw.typeNames, msgType)
+	nw.sentBy = append(nw.sentBy, 0)
+	return id
 }
 
 // node looks up a registered node, nil if unknown.
@@ -107,7 +130,7 @@ func (nw *Network) node(id p2p.NodeID) *simNode {
 }
 
 // scheduleDelivery queues msg for delivery after d using a pooled record.
-func (nw *Network) scheduleDelivery(d time.Duration, msg p2p.Message, epoch uint64, known bool) {
+func (nw *Network) scheduleDelivery(d time.Duration, msg p2p.Message, typ int32, epoch uint64, known bool) {
 	var rec *delivery
 	if n := len(nw.delPool); n > 0 {
 		rec = nw.delPool[n-1]
@@ -116,7 +139,7 @@ func (nw *Network) scheduleDelivery(d time.Duration, msg p2p.Message, epoch uint
 	} else {
 		rec = &delivery{}
 	}
-	rec.msg, rec.epoch, rec.known = msg, epoch, known
+	rec.msg, rec.typ, rec.epoch, rec.known = msg, typ, epoch, known
 	nw.sim.ScheduleCall(d, nw.delFn, rec)
 }
 
@@ -162,16 +185,19 @@ func (nw *Network) SetProcDelay(f ProcDelayFunc) { nw.proc = f }
 // Stats returns a snapshot of the overhead counters.
 func (nw *Network) Stats() Stats {
 	s := nw.stats
-	s.ByType = make(map[string]int64, len(nw.stats.ByType))
-	for k, v := range nw.stats.ByType {
-		s.ByType[k] = v
+	s.ByType = make(map[string]int64)
+	for id, n := range nw.sentBy {
+		if n > 0 {
+			s.ByType[nw.typeNames[id]] = n
+		}
 	}
 	return s
 }
 
 // ResetStats zeroes the overhead counters.
 func (nw *Network) ResetStats() {
-	nw.stats = Stats{ByType: make(map[string]int64)}
+	nw.stats = Stats{}
+	clear(nw.sentBy)
 }
 
 // AddNode creates and registers a live node with the given ID.
@@ -247,7 +273,8 @@ func (nw *Network) Alive(id p2p.NodeID) bool {
 func (nw *Network) send(msg p2p.Message) {
 	nw.stats.MessagesSent++
 	nw.stats.BytesSent += int64(msg.Size)
-	nw.stats.ByType[msg.Type]++
+	typ := nw.typeID(msg.Type)
+	nw.sentBy[typ]++
 	if nw.met != nil {
 		nw.met.WireBytes.Observe(float64(msg.Size))
 	}
@@ -295,10 +322,14 @@ func (nw *Network) send(msg p2p.Message) {
 			}
 			nw.stats.Duplicated++
 			nw.fault(msg, obs.FaultDup)
-			nw.scheduleDelivery(dd, msg, epoch, known)
+			dup := msg
+			if c, ok := msg.Payload.(p2p.PayloadCloner); ok {
+				dup.Payload = c.ClonePayload() // copies must not share progress
+			}
+			nw.scheduleDelivery(dd, dup, typ, epoch, known)
 		}
 	}
-	nw.scheduleDelivery(d, msg, epoch, known)
+	nw.scheduleDelivery(d, msg, typ, epoch, known)
 }
 
 // fault records one injected fault against msg's sender and the trace.
@@ -311,7 +342,7 @@ func (nw *Network) fault(msg p2p.Message, kind string) {
 	}
 }
 
-func (nw *Network) deliver(msg p2p.Message, epoch uint64, known bool) {
+func (nw *Network) deliver(msg p2p.Message, typ int32, epoch uint64, known bool) {
 	dst := nw.node(msg.To)
 	if dst == nil || !dst.alive || (known && dst.epoch != epoch) {
 		nw.stats.Dropped++
@@ -323,7 +354,7 @@ func (nw *Network) deliver(msg p2p.Message, epoch uint64, known bool) {
 		}
 		return
 	}
-	h := dst.handler(msg.Type)
+	h := dst.handler(typ)
 	if h == nil {
 		nw.stats.Unhandled++
 		return
@@ -350,14 +381,14 @@ type simNode struct {
 }
 
 type handlerReg struct {
-	typ string
+	typ int32 // interned message type
 	h   p2p.Handler
 }
 
-// handler returns the registered handler for msgType, nil if none.
-func (n *simNode) handler(msgType string) p2p.Handler {
+// handler returns the registered handler for the interned type, nil if none.
+func (n *simNode) handler(typ int32) p2p.Handler {
 	for i := range n.handlers {
-		if n.handlers[i].typ == msgType {
+		if n.handlers[i].typ == typ {
 			return n.handlers[i].h
 		}
 	}
@@ -370,13 +401,14 @@ func (n *simNode) Rand() *rand.Rand   { return n.net.rng }
 func (n *simNode) Alive() bool        { return n.alive }
 
 func (n *simNode) Handle(msgType string, h p2p.Handler) {
+	typ := n.net.typeID(msgType)
 	for i := range n.handlers {
-		if n.handlers[i].typ == msgType {
+		if n.handlers[i].typ == typ {
 			n.handlers[i].h = h
 			return
 		}
 	}
-	n.handlers = append(n.handlers, handlerReg{typ: msgType, h: h})
+	n.handlers = append(n.handlers, handlerReg{typ: typ, h: h})
 }
 
 func (n *simNode) Send(msg p2p.Message) {

@@ -1,18 +1,23 @@
 // Package simnet is SpiderNet's deterministic discrete-event simulation
-// runtime: a virtual clock with an event heap, and a message-passing network
+// runtime: a virtual clock with an event queue, and a message-passing network
 // of peers implementing the p2p.Node interface. It replaces the paper's C++
 // event-driven P2P overlay simulator.
 package simnet
 
-import "time"
+import (
+	"math/bits"
+	"time"
+)
 
 // Sim is a discrete-event scheduler over a virtual clock. It is not safe for
 // concurrent use: everything runs in the single simulation goroutine, which
 // is what makes runs bit-for-bit reproducible.
 //
-// The event queue is an index-tracked binary heap: every queued event knows
-// its own heap slot, so cancellation removes the event immediately (no
-// tombstones accumulate across a long soak) and Pending is the heap length.
+// The event queue is an index-tracked 4-ary heap that stores each event's
+// (at, seq) key inline next to its pointer, so sifting compares keys without
+// dereferencing events. Every queued event knows its own heap slot, so
+// cancellation removes the event immediately (no tombstones accumulate
+// across a long soak) and Pending is the heap length.
 // Fired and cancelled events return to a freelist and are reused by later
 // Schedule calls, so the steady-state Schedule→fire path allocates only the
 // returned cancel closure — and the ScheduleCall path not even that.
@@ -24,9 +29,7 @@ type Sim struct {
 }
 
 type event struct {
-	at  time.Duration
-	seq uint64 // FIFO tie-break for simultaneous events
-	fn  func()
+	fn func()
 	// call/arg is the allocation-free alternative to fn used by
 	// ScheduleCall: a long-lived function value applied to a per-event
 	// argument, so the hot send→deliver path creates no closure. Exactly
@@ -83,10 +86,8 @@ func (s *Sim) enqueue(d time.Duration) *event {
 	} else {
 		e = &event{}
 	}
-	e.at = s.now + d
-	e.seq = s.seq
+	s.events.push(heapEntry{at: s.now + d, seq: s.seq, e: e})
 	s.seq++
-	s.events.push(e)
 	return e
 }
 
@@ -117,8 +118,15 @@ func (s *Sim) Step() bool {
 	if len(s.events) == 0 {
 		return false
 	}
-	e := s.events.pop()
-	s.now = e.at
+	s.fire()
+	return true
+}
+
+// fire pops the earliest event, advances the clock to it, and runs it. The
+// queue must not be empty.
+func (s *Sim) fire() {
+	at, e := s.events.pop()
+	s.now = at
 	fn, call, arg := e.fn, e.call, e.arg
 	s.recycle(e)
 	if fn != nil {
@@ -126,25 +134,13 @@ func (s *Sim) Step() bool {
 	} else {
 		call(arg)
 	}
-	return true
 }
 
 // Run executes all events with timestamps <= until, then advances the clock
 // to until.
 func (s *Sim) Run(until time.Duration) {
-	for len(s.events) > 0 {
-		if s.events[0].at > until {
-			break
-		}
-		e := s.events.pop()
-		s.now = e.at
-		fn, call, arg := e.fn, e.call, e.arg
-		s.recycle(e)
-		if fn != nil {
-			fn()
-		} else {
-			call(arg)
-		}
+	for len(s.events) > 0 && s.events[0].at <= until {
+		s.fire()
 	}
 	if s.now < until {
 		s.now = until
@@ -158,79 +154,100 @@ func (s *Sim) RunUntilIdle() {
 	}
 }
 
-// eventHeap is a binary min-heap of events ordered by (at, seq), a total
-// order, so the pop sequence is fully determined by the pushes. Each event
-// records its slot in idx so remove can take it out of the middle.
-type eventHeap []*event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// heapEntry is one heap slot: the event's ordering key, stored inline so
+// comparisons touch only the heap's own array, and the event it orders.
+type heapEntry struct {
+	at  time.Duration
+	seq uint64 // FIFO tie-break for simultaneous events
+	e   *event
 }
 
-func (h eventHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+// less orders entries by (at, seq).
+func (a heapEntry) less(b heapEntry) bool { return a.before(b) != 0 }
+
+// before reports a.less(b) as 1 or 0. It compares (at, seq) as one 128-bit
+// number, at with its sign bit flipped in the high word, through a borrow
+// chain, so down can pick the smallest child with a mask instead of a
+// branch: which child is smallest is data-dependent, and the branching
+// version cost about a third more per BenchmarkEventQueue op.
+func (a heapEntry) before(b heapEntry) uint64 {
+	const sign = 1 << 63
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at)^sign, uint64(b.at)^sign, borrow)
+	return borrow
 }
 
-func (h *eventHeap) push(e *event) {
-	e.idx = len(*h)
-	*h = append(*h, e)
-	h.up(e.idx)
+// eventHeap is a 4-ary min-heap ordered by (at, seq), a total order, so the
+// pop sequence is fully determined by the pushes whatever the heap's arity.
+// Slot i's children are 4i+1..4i+4. The sifts move a hole and write each
+// displaced entry once, updating its event's idx so remove can take an event
+// out of the middle.
+type eventHeap []heapEntry
+
+func (h *eventHeap) push(x heapEntry) {
+	*h = append(*h, heapEntry{})
+	h.up(len(*h)-1, x)
 }
 
-// pop removes and returns the earliest event. The heap must not be empty.
-func (h *eventHeap) pop() *event {
-	return h.remove(0)
+// pop removes the earliest event and returns it with its time. The heap must
+// not be empty.
+func (h *eventHeap) pop() (time.Duration, *event) {
+	at := (*h)[0].at
+	return at, h.remove(0)
 }
 
 // remove takes the event in slot i out of the heap and returns it.
 func (h *eventHeap) remove(i int) *event {
 	old := *h
 	n := len(old) - 1
-	e := old[i]
-	old.swap(i, n)
-	old[n] = nil
+	e := old[i].e
+	last := old[n]
+	old[n] = heapEntry{}
 	*h = old[:n]
-	if i < n && !h.down(i) {
-		h.up(i)
+	if i < n && h.down(i, last) == i {
+		h.up(i, last)
 	}
 	e.idx = -1
 	return e
 }
 
-func (h eventHeap) up(j int) {
+// up fills the hole at slot j with x, moving x toward the root past every
+// ancestor it sorts before.
+func (h eventHeap) up(j int, x heapEntry) {
 	for j > 0 {
-		i := (j - 1) / 2
-		if !h.less(j, i) {
+		p := (j - 1) / 4
+		if !x.less(h[p]) {
 			break
 		}
-		h.swap(i, j)
-		j = i
+		h[j] = h[p]
+		h[j].e.idx = j
+		j = p
 	}
+	h[j] = x
+	x.e.idx = j
 }
 
-// down sifts slot i0 toward the leaves and reports whether it moved.
-func (h eventHeap) down(i0 int) bool {
+// down fills the hole at slot j with x, moving x toward the leaves past
+// every smallest child that sorts before it, and returns x's final slot.
+func (h eventHeap) down(j int, x heapEntry) int {
 	n := len(h)
-	i := i0
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := 4*j + 1
+		if c >= n {
 			break
 		}
-		j := l
-		if r := l + 1; r < n && h.less(r, l) {
-			j = r
+		m := c
+		for k, end := c+1, min(c+4, n); k < end; k++ {
+			m += (k - m) & -int(h[k].before(h[m]))
 		}
-		if !h.less(j, i) {
+		if !h[m].less(x) {
 			break
 		}
-		h.swap(i, j)
-		i = j
+		h[j] = h[m]
+		h[j].e.idx = j
+		j = m
 	}
-	return i > i0
+	h[j] = x
+	x.e.idx = j
+	return j
 }

@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -503,6 +505,65 @@ func TestEventQueueMatchesSortOrder(t *testing.T) {
 		for i, r := range recs {
 			if r.pending {
 				t.Fatalf("seed %d: event %d never fired", seed, i)
+			}
+		}
+	}
+}
+
+// BenchmarkEventQueue holds the pending set at a fixed size. Each op
+// cancels the event scheduled 256 ops earlier, schedules a cancellable
+// event, tops the queue up with ScheduleCall events, and runs it to its
+// earliest timestamp; every delay is random up to 2 s. The 1.5k case is the largest pending set a
+// 200-peer churn run reaches (its probe, pong and delivery timers); the 50k
+// case is a 30 times larger world.
+func BenchmarkEventQueue(b *testing.B) {
+	for _, pending := range []int{1500, 50000} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) { benchEventQueue(b, pending) })
+	}
+}
+
+func benchEventQueue(b *testing.B, pending int) {
+	rng := rand.New(rand.NewSource(1))
+	s := NewSim()
+	fn := func() {}
+	call := func(any) {}
+	delay := func() time.Duration { return time.Duration(1 + rng.Int63n(int64(2*time.Second))) }
+	var recent [256]func()
+	for i := range recent {
+		recent[i] = s.Schedule(delay(), fn)
+	}
+	for s.Pending() < pending {
+		s.ScheduleCall(delay(), call, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(recent)
+		recent[j]()
+		recent[j] = s.Schedule(delay(), fn)
+		for s.Pending() <= pending {
+			s.ScheduleCall(delay(), call, nil)
+		}
+		s.Run(s.events[0].at)
+	}
+}
+
+// TestHeapEntryLess checks the borrow-chain comparison against the plain
+// (at, seq) order on extreme and neighbouring values of both fields.
+func TestHeapEntryLess(t *testing.T) {
+	ats := []time.Duration{math.MinInt64, -1, 0, 1, time.Second, math.MaxInt64 - 1, math.MaxInt64}
+	seqs := []uint64{0, 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	var es []heapEntry
+	for _, at := range ats {
+		for _, seq := range seqs {
+			es = append(es, heapEntry{at: at, seq: seq})
+		}
+	}
+	for _, a := range es {
+		for _, b := range es {
+			want := a.at < b.at || a.at == b.at && a.seq < b.seq
+			if got := a.less(b); got != want {
+				t.Fatalf("(%d,%d).less(%d,%d) = %v, want %v", a.at, a.seq, b.at, b.seq, got, want)
 			}
 		}
 	}
